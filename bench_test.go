@@ -27,12 +27,9 @@ import (
 	"zkperf/internal/provesvc"
 	"zkperf/internal/telemetry"
 
-	"math/bits"
-
 	"zkperf/internal/pairing"
 	"zkperf/internal/plonk"
 	"zkperf/internal/poly"
-	"zkperf/internal/rns"
 	"zkperf/internal/witness"
 )
 
@@ -474,62 +471,6 @@ func BenchmarkPlonkVsGroth16(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationCRT compares multiply-chain throughput in the
-// Montgomery representation against the residue-number-system (CRT)
-// representation the paper's Key Takeaway 3 proposes. The RNS lanes are
-// word-sized and independent (no carry chains), which is what a parallel
-// accelerator exploits; on a single core the comparison shows the per-lane
-// cost structure.
-func BenchmarkAblationCRT(b *testing.B) {
-	fr := ff.NewBN254Fr()
-	rng := ff.NewRNG(31)
-	var x, y ff.Element
-	fr.Random(&x, rng)
-	fr.Random(&y, rng)
-	b.Run("montgomery-4limb", func(b *testing.B) {
-		var z ff.Element
-		fr.Set(&z, &x)
-		for i := 0; i < b.N; i++ {
-			fr.Mul(&z, &z, &y)
-		}
-	})
-	s, err := rns.NewSystem(9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx := s.FromBig(fr.BigInt(&x))
-	ry := s.FromBig(fr.BigInt(&y))
-	b.Run("rns-9lane", func(b *testing.B) {
-		z := append(rns.Residues(nil), rx...)
-		for i := 0; i < b.N; i++ {
-			s.Mul(z, z, ry)
-		}
-	})
-	b.Run("rns-single-lane", func(b *testing.B) {
-		// The latency an accelerator lane would see: one word-sized
-		// modular multiply.
-		z := append(rns.Residues(nil), rx[:1]...)
-		one := rns.Residues{ry[0]}
-		lane, _ := rns.NewSystem(2)
-		_ = lane
-		for i := 0; i < b.N; i++ {
-			s2 := s
-			_ = s2
-			z[0] = rnsMulModLane(z[0], one[0], s.Moduli[0])
-		}
-	})
-}
-
-// rnsMulModLane mirrors the per-lane cost of rns.Mul for the ablation.
-func rnsMulModLane(a, bb, m uint64) uint64 {
-	hi, lo := mulHiLo(a, bb)
-	_, rem := div64(hi%m, lo, m)
-	return rem
-}
-
-func mulHiLo(a, b uint64) (uint64, uint64)    { return bits.Mul64(a, b) }
-func div64(hi, lo, m uint64) (uint64, uint64) { return bits.Div64(hi, lo, m) }
 
 // BenchmarkAblationPointCompression measures the zkey-size/time trade-off
 // of compressed point serialization — the memory-footprint optimization

@@ -32,6 +32,9 @@ go test -run '^$' -bench 'BenchmarkVerifyBatch/n=(1|64)$' -benchtime=1x .
 go test -race -count=1 \
     -run 'TestPanicMidProve|TestArtifact|TestBreaker|TestDeadline|TestMaxTimeout|TestDrainWithExpiring|TestHTTPErrorCodes' \
     ./internal/provesvc/
+# The crash-safe file primitive under all three on-disk stores: torn
+# writes, rename-window and directory-fsync faults, corruption, sweep.
+go test -race -count=1 ./internal/durable/
 go test -run '^$' -fuzz '^FuzzReadProof$' -fuzztime=5s ./internal/backend/
 go test -run '^$' -fuzz '^FuzzReadProvingKey$' -fuzztime=5s ./internal/backend/
 go test -run '^$' -fuzz '^FuzzReadVerifyingKey$' -fuzztime=5s ./internal/backend/
@@ -58,3 +61,10 @@ echo "$out"
 echo "$out" | grep -q 'zkload: result ok=300 err=0'
 echo "$out" | grep -Eq 'zkload: latency_ms all +n=300 p50=[0-9.]+ p90=[0-9.]+ p95=[0-9.]+ p99=[0-9.]+'
 echo "$out" | grep -q 'zkload: sched enabled=true'
+# The repo benchmark is its own module (benchmark/go.mod), so nothing
+# above compiles it: vet and test it, then one short traced run — the
+# trace executes the artifact-reload, table-reload and journaled-submit
+# replicas, i.e. every internal/durable caller, against the real stores.
+go vet -C benchmark ./...
+go test -C benchmark ./...
+go run -C benchmark . --workload verify_mix --seed 1 --seconds 3 --trace 1

@@ -3,17 +3,16 @@ package curve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"zkperf/internal/durable"
 	"zkperf/internal/faultinject"
 	"zkperf/internal/ff"
 	"zkperf/internal/tower"
@@ -23,28 +22,27 @@ import (
 // curve — the same ~7.4k points every process, every restart — so they are
 // cached process-wide and, when a directory is configured (SetTableDir,
 // wired from the serving layer's artifact directory), persisted to disk so
-// the precomputation is paid once ever rather than once per boot.
+// the precomputation is paid once ever rather than once per boot. Files
+// live in internal/durable's sealed envelope, like the provesvc artifact
+// store: a corrupt table would silently commit to wrong points — the worst
+// possible failure for key generation — so anything invalid is quarantined
+// and rebuilt.
 //
-// The failure model mirrors the provesvc artifact store (ZKARTv1): writes
-// are crash-safe (temp file + fsync + atomic rename + directory fsync),
-// every file carries a SHA-256 payload checksum, and anything invalid is
-// quarantined to *.corrupt and rebuilt — a corrupt table would silently
-// commit to wrong points, which is the worst possible failure for key
-// generation.
+// Payload format inside the envelope (little-endian):
 //
-// File format (little-endian):
-//
-//	magic   [8]byte  "ZKTBLv1\n"
-//	sum     [32]byte sha256 of the payload (everything after the header)
-//	payload:
-//	  curve   u16 len + bytes     group  u8 (1|2)
-//	  window  u8                  bits   u32 (scalar width)
-//	  numWindows u32              rowLen u32
-//	  points  u64 len + encoded affine points (WriteG1Slice/WriteG2Slice),
-//	          flattened row-major: windows[w][d] at index w·rowLen+d
+//	curve   u16 len + bytes     group  u8 (1|2)
+//	window  u8                  bits   u32 (scalar width)
+//	numWindows u32              rowLen u32
+//	points  u64 len + encoded affine points (WriteG1Slice/WriteG2Slice),
+//	        flattened row-major: windows[w][d] at index w·rowLen+d
 var tableMagic = [8]byte{'Z', 'K', 'T', 'B', 'L', 'v', '1', '\n'}
 
-// errTableCorrupt tags validation failures that quarantine a table file.
+var tablePoints = durable.Points{
+	Write:  faultinject.PointTableWrite,
+	Rename: faultinject.PointTableRename,
+}
+
+// errTableCorrupt tags payload decode failures that quarantine a table file.
 var errTableCorrupt = errors.New("curve: corrupt table file")
 
 // tableCache is the process-wide generator-table registry. The data is
@@ -105,67 +103,18 @@ func SetTableDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("curve: table dir: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
+	n, err := durable.Sweep(dir, ".zkt", tableMagic)
 	if err != nil {
 		return fmt.Errorf("curve: table dir: %w", err)
 	}
-	for _, ent := range entries {
-		name := ent.Name()
-		path := filepath.Join(dir, name)
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			os.Remove(path) // a write that never reached its rename
-		case strings.HasSuffix(name, ".zkt"):
-			if _, err := tableReadValidated(path); err != nil {
-				tableQuarantine(path)
-			}
-		}
-	}
+	tableCounters.quarantined.Add(uint64(n))
 	tableCache.dir = dir
 	return nil
 }
 
 // tablePath names the table file for one (curve, group) pair.
 func tablePath(dir, curveName string, group int) string {
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, strings.ToLower(curveName))
-	return filepath.Join(dir, fmt.Sprintf("%s.g%d.zkt", clean, group))
-}
-
-// tableQuarantine renames a corrupt file out of the cache namespace so it
-// is preserved for inspection but never considered again.
-func tableQuarantine(path string) {
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		os.Remove(path)
-	}
-	tableCounters.quarantined.Add(1)
-}
-
-// tableReadValidated reads path and returns its payload after verifying
-// the magic and checksum. Validation failures wrap errTableCorrupt.
-func tableReadValidated(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < len(tableMagic)+sha256.Size {
-		return nil, fmt.Errorf("%w: %d-byte file shorter than header", errTableCorrupt, len(raw))
-	}
-	if !bytes.Equal(raw[:len(tableMagic)], tableMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", errTableCorrupt)
-	}
-	payload := raw[len(tableMagic)+sha256.Size:]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(raw[len(tableMagic):len(tableMagic)+sha256.Size], sum[:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", errTableCorrupt)
-	}
-	return payload, nil
+	return filepath.Join(dir, fmt.Sprintf("%s.g%d.zkt", durable.SafeName(curveName), group))
 }
 
 // tableHeader is the decoded fixed-size part of a table payload.
@@ -232,90 +181,58 @@ func sliceWindows[E any](flat []Affine[E], numWindows, rowLen int) ([][]Affine[E
 	return windows, nil
 }
 
-// tableSave persists payload crash-safely under path. Failures are
-// counted; the in-memory table is unaffected.
-func tableSave(path string, payload []byte) error {
-	ctx := context.Background()
-	sum := sha256.Sum256(payload)
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	w := faultinject.LimitWriter(ctx, faultinject.PointTableWrite, f)
-	if _, err = w.Write(tableMagic[:]); err == nil {
-		if _, err = w.Write(sum[:]); err == nil {
-			_, err = w.Write(payload)
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		// The kill-between-write window: temp file durable, rename not yet
-		// performed.
-		err = faultinject.Point(ctx, faultinject.PointTableRename)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+// genGroup is what differs between the G1 and G2 generator tables: the
+// field ops, the generator, the process cache slot and the slice codec.
+type genGroup[E any] struct {
+	group int
+	ops   Ops[E]
+	gen   *Affine[E]
+	cache *map[string]*fixedBaseData[E]
+	write func(io.Writer, []Affine[E]) error
+	read  func(io.Reader) ([]Affine[E], error)
 }
 
-// g1GenData returns the G1 generator table data for c, in order of
+// genData returns the generator table data for c in group g, in order of
 // preference: process cache, disk, fresh build (persisted when a dir is
 // configured). The cache lock covers the whole resolution — builds happen
 // at most once per curve per process.
-func g1GenData(c *Curve) *fixedBaseData[ff.Element] {
+func genData[E any](c *Curve, g genGroup[E]) *fixedBaseData[E] {
 	tableCache.mu.Lock()
 	defer tableCache.mu.Unlock()
-	if d, ok := tableCache.g1[c.Name]; ok {
+	if d, ok := (*g.cache)[c.Name]; ok {
 		return d
 	}
 	want := tableHeader{
-		curve: c.Name, group: 1, window: fixedBaseWindow, bits: c.Fr.Bits(),
+		curve: c.Name, group: g.group, window: fixedBaseWindow, bits: c.Fr.Bits(),
 		numWindows: (c.Fr.Bits() + fixedBaseWindow) / fixedBaseWindow,
 		rowLen:     1 << (fixedBaseWindow - 1),
 	}
-	var data *fixedBaseData[ff.Element]
+	var data *fixedBaseData[E]
 	if tableCache.dir != "" {
-		path := tablePath(tableCache.dir, c.Name, 1)
-		if payload, err := tableReadValidated(path); err == nil {
-			d, derr := decodeG1Table(c, payload, want)
-			if derr != nil {
-				tableQuarantine(path)
+		path := tablePath(tableCache.dir, c.Name, g.group)
+		if payload, err := durable.ReadSealed(path, tableMagic); err == nil {
+			if data, err = decodeTable(g, payload, want); err != nil {
+				durable.Quarantine(path)
+				tableCounters.quarantined.Add(1)
 			} else {
 				tableCounters.diskLoads.Add(1)
-				data = d
 			}
 		}
 	}
 	if data == nil {
-		data = newFixedBaseData[ff.Element](c.g1ops, &c.G1Gen, c.Fr.Bits())
+		data = newFixedBaseData(g.ops, g.gen, c.Fr.Bits())
 		tableCounters.builds.Add(1)
 		if tableCache.dir != "" {
 			var payload bytes.Buffer
 			writeTableHeader(&payload, want)
-			flat := make([]G1Affine, 0, want.numWindows*want.rowLen)
+			flat := make([]Affine[E], 0, want.numWindows*want.rowLen)
 			for _, row := range data.windows {
 				flat = append(flat, row...)
 			}
-			err := c.WriteG1Slice(&payload, flat)
+			err := g.write(&payload, flat)
 			if err == nil {
-				err = tableSave(tablePath(tableCache.dir, c.Name, 1), payload.Bytes())
+				err = durable.WriteSealed(context.Background(), tablePath(tableCache.dir, c.Name, g.group),
+					tablePoints, tableMagic, payload.Bytes())
 			}
 			if err != nil {
 				tableCounters.writeErrors.Add(1)
@@ -324,68 +241,15 @@ func g1GenData(c *Curve) *fixedBaseData[ff.Element] {
 			}
 		}
 	}
-	if tableCache.g1 == nil {
-		tableCache.g1 = make(map[string]*fixedBaseData[ff.Element])
+	if *g.cache == nil {
+		*g.cache = make(map[string]*fixedBaseData[E])
 	}
-	tableCache.g1[c.Name] = data
+	(*g.cache)[c.Name] = data
 	return data
 }
 
-// g2GenData is the G2 analogue of g1GenData.
-func g2GenData(c *Curve) *fixedBaseData[tower.E2] {
-	tableCache.mu.Lock()
-	defer tableCache.mu.Unlock()
-	if d, ok := tableCache.g2[c.Name]; ok {
-		return d
-	}
-	want := tableHeader{
-		curve: c.Name, group: 2, window: fixedBaseWindow, bits: c.Fr.Bits(),
-		numWindows: (c.Fr.Bits() + fixedBaseWindow) / fixedBaseWindow,
-		rowLen:     1 << (fixedBaseWindow - 1),
-	}
-	var data *fixedBaseData[tower.E2]
-	if tableCache.dir != "" {
-		path := tablePath(tableCache.dir, c.Name, 2)
-		if payload, err := tableReadValidated(path); err == nil {
-			d, derr := decodeG2Table(c, payload, want)
-			if derr != nil {
-				tableQuarantine(path)
-			} else {
-				tableCounters.diskLoads.Add(1)
-				data = d
-			}
-		}
-	}
-	if data == nil {
-		data = newFixedBaseData[tower.E2](c.g2ops, &c.G2Gen, c.Fr.Bits())
-		tableCounters.builds.Add(1)
-		if tableCache.dir != "" {
-			var payload bytes.Buffer
-			writeTableHeader(&payload, want)
-			flat := make([]G2Affine, 0, want.numWindows*want.rowLen)
-			for _, row := range data.windows {
-				flat = append(flat, row...)
-			}
-			err := c.WriteG2Slice(&payload, flat)
-			if err == nil {
-				err = tableSave(tablePath(tableCache.dir, c.Name, 2), payload.Bytes())
-			}
-			if err != nil {
-				tableCounters.writeErrors.Add(1)
-			} else {
-				tableCounters.diskWrites.Add(1)
-			}
-		}
-	}
-	if tableCache.g2 == nil {
-		tableCache.g2 = make(map[string]*fixedBaseData[tower.E2])
-	}
-	tableCache.g2[c.Name] = data
-	return data
-}
-
-// decodeG1Table decodes and validates one persisted G1 table payload.
-func decodeG1Table(c *Curve, payload []byte, want tableHeader) (*fixedBaseData[ff.Element], error) {
+// decodeTable decodes and validates one persisted table payload.
+func decodeTable[E any](g genGroup[E], payload []byte, want tableHeader) (*fixedBaseData[E], error) {
 	r := bytes.NewReader(payload)
 	h, err := readTableHeader(r)
 	if err != nil {
@@ -397,7 +261,7 @@ func decodeG1Table(c *Curve, payload []byte, want tableHeader) (*fixedBaseData[f
 	if err := faultinject.Point(context.Background(), faultinject.PointTableLoad); err != nil {
 		return nil, fmt.Errorf("%w: %v", errTableCorrupt, err)
 	}
-	flat, err := c.ReadG1Slice(r)
+	flat, err := g.read(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errTableCorrupt, err)
 	}
@@ -407,47 +271,28 @@ func decodeG1Table(c *Curve, payload []byte, want tableHeader) (*fixedBaseData[f
 	}
 	// The first entry is [1]·Gen: a checksum-valid file written for a
 	// different generator must still never be trusted.
-	if flat[0].Inf || !c.Fp.Equal(&flat[0].X, &c.G1Gen.X) || !c.Fp.Equal(&flat[0].Y, &c.G1Gen.Y) {
-		return nil, fmt.Errorf("%w: table base is not the G1 generator", errTableCorrupt)
+	if flat[0].Inf || !g.ops.Equal(&flat[0].X, &g.gen.X) || !g.ops.Equal(&flat[0].Y, &g.gen.Y) {
+		return nil, fmt.Errorf("%w: table base is not the G%d generator", errTableCorrupt, g.group)
 	}
-	return &fixedBaseData[ff.Element]{window: h.window, bits: h.bits, windows: windows}, nil
-}
-
-// decodeG2Table decodes and validates one persisted G2 table payload.
-func decodeG2Table(c *Curve, payload []byte, want tableHeader) (*fixedBaseData[tower.E2], error) {
-	r := bytes.NewReader(payload)
-	h, err := readTableHeader(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errTableCorrupt, err)
-	}
-	if err := h.matches(want); err != nil {
-		return nil, err
-	}
-	if err := faultinject.Point(context.Background(), faultinject.PointTableLoad); err != nil {
-		return nil, fmt.Errorf("%w: %v", errTableCorrupt, err)
-	}
-	flat, err := c.ReadG2Slice(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errTableCorrupt, err)
-	}
-	windows, err := sliceWindows(flat, h.numWindows, h.rowLen)
-	if err != nil {
-		return nil, err
-	}
-	if flat[0].Inf || !c.Tw.E2Equal(&flat[0].X, &c.G2Gen.X) || !c.Tw.E2Equal(&flat[0].Y, &c.G2Gen.Y) {
-		return nil, fmt.Errorf("%w: table base is not the G2 generator", errTableCorrupt)
-	}
-	return &fixedBaseData[tower.E2]{window: h.window, bits: h.bits, windows: windows}, nil
+	return &fixedBaseData[E]{window: h.window, bits: h.bits, windows: windows}, nil
 }
 
 // G1GenTable returns the (cached, persisted) fixed-base table over the G1
 // generator, bound to this curve instance's field ops.
 func (c *Curve) G1GenTable() *G1Table {
-	return &G1Table{c: c, tab: &FixedBaseTable[ff.Element]{ops: c.g1ops, data: g1GenData(c)}}
+	data := genData(c, genGroup[ff.Element]{
+		group: 1, ops: c.g1ops, gen: &c.G1Gen, cache: &tableCache.g1,
+		write: c.WriteG1Slice, read: c.ReadG1Slice,
+	})
+	return &G1Table{c: c, tab: &FixedBaseTable[ff.Element]{ops: c.g1ops, data: data}}
 }
 
 // G2GenTable returns the (cached, persisted) fixed-base table over the G2
 // generator, bound to this curve instance's field ops.
 func (c *Curve) G2GenTable() *G2Table {
-	return &G2Table{c: c, tab: &FixedBaseTable[tower.E2]{ops: c.g2ops, data: g2GenData(c)}}
+	data := genData(c, genGroup[tower.E2]{
+		group: 2, ops: c.g2ops, gen: &c.G2Gen, cache: &tableCache.g2,
+		write: c.WriteG2Slice, read: c.ReadG2Slice,
+	})
+	return &G2Table{c: c, tab: &FixedBaseTable[tower.E2]{ops: c.g2ops, data: data}}
 }

@@ -159,9 +159,10 @@ func TestGenTableTornWrite(t *testing.T) {
 	}
 }
 
-// TestGenTableRenameCrash: dying between the durable temp write and the
-// rename leaves only a *.tmp, which the next boot sweeps before
-// rebuilding.
+// TestGenTableRenameCrash: an error between the durable temp write and
+// the rename produces no final file and removes its own temp file; a
+// process that really dies there leaves a *.tmp (planted here), which the
+// next boot sweeps before rebuilding.
 func TestGenTableRenameCrash(t *testing.T) {
 	dir := t.TempDir()
 	withTableDir(t, dir)
@@ -173,6 +174,13 @@ func TestGenTableRenameCrash(t *testing.T) {
 	c.G1GenTable()
 	if _, err := os.Stat(tablePath(dir, c.Name, 1)); !os.IsNotExist(err) {
 		t.Fatalf("rename-crash still produced a final file (err=%v)", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed write left its temp file behind: %v", tmps)
+	}
+	stray := tablePath(dir, c.Name, 1) + ".1234567.tmp"
+	if err := os.WriteFile(stray, []byte("ZKTBLv1\ntorn"), 0o600); err != nil {
+		t.Fatal(err)
 	}
 
 	// Reboot: stray *.tmp swept, table rebuilt and persisted cleanly.

@@ -300,6 +300,10 @@ const (
 	PointJournalReplay = "jobs.journal.replay"
 	// PointJournalCompact fires before the journal's compaction rewrite.
 	PointJournalCompact = "jobs.journal.compact"
+	// PointDirSync fires at every directory fsync (durable.SyncDir):
+	// after an artifact, table or compaction rename, and after the WAL's
+	// first-boot creation.
+	PointDirSync = "durable.syncdir"
 )
 
 // Points lists the known injection point names, sorted.
@@ -310,6 +314,7 @@ func Points() []string {
 		PointTableWrite, PointTableRename, PointTableLoad,
 		PointHTTPProve, PointHTTPVerify,
 		PointJournalAppend, PointJournalReplay, PointJournalCompact,
+		PointDirSync,
 	}
 	sort.Strings(out)
 	return out

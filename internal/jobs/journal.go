@@ -12,10 +12,9 @@
 //	u32 CRC32-C of the payload
 //	payload: one JSON walRecord
 //
-// The discipline mirrors the PR-4 artifact store: appends fsync before
-// the submit path acknowledges, compaction rewrites through a temp file
-// + fsync + atomic rename + directory fsync, and nothing read from disk
-// is trusted — a torn tail or checksum-corrupt record truncates the WAL
+// Appends fsync before the submit path acknowledges, compaction rewrites
+// the file through durable.WriteAtomic, and nothing read from disk is
+// trusted — a torn tail or checksum-corrupt record truncates the WAL
 // back to the last intact boundary (the discarded bytes are quarantined
 // in jobs.wal.corrupt for post-mortems) and is never fatal. The length
 // prefix is attacker-controlled bytes as far as the decoder is
@@ -25,8 +24,10 @@ package jobs
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"io"
 	"os"
@@ -35,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zkperf/internal/durable"
 	"zkperf/internal/faultinject"
 )
 
@@ -127,11 +129,15 @@ type Journal struct {
 	compactErrs atomic.Uint64
 }
 
-// OpenJournal creates dir if needed and returns a journal over
-// dir/jobs.wal. The file itself is opened (and replayed) when a Manager
-// is constructed with it.
+// OpenJournal creates dir if needed, sweeps any temp file a crash
+// mid-compaction left in it, and returns a journal over dir/jobs.wal. The
+// file itself is opened (and replayed) when a Manager is constructed with
+// it.
 func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := durable.SweepTemps(dir); err != nil {
 		return nil, err
 	}
 	return &Journal{dir: dir, path: filepath.Join(dir, walName)}, nil
@@ -252,7 +258,9 @@ func applyRecord(byID map[string]*replayedJob, order *[]*replayedJob, rec walRec
 func (jl *Journal) replay() ([]*replayedJob, error) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	f, err := os.OpenFile(jl.path, os.O_CREATE|os.O_RDWR, 0o644)
+	// 0600: the WAL holds request payloads, and that is the mode of the
+	// file compaction (durable.WriteAtomic) replaces this one with.
+	f, err := os.OpenFile(jl.path, os.O_CREATE|os.O_RDWR, 0o600)
 	if err != nil {
 		return nil, err
 	}
@@ -262,6 +270,12 @@ func (jl *Journal) replay() ([]*replayedJob, error) {
 		return nil, err
 	}
 	size := st.Size()
+	// On a first boot the open above created jobs.wal: the "fsync before
+	// 202" promise needs its directory entry durable too, not only its
+	// bytes.
+	if err := durable.SyncDir(jl.dir); err != nil {
+		jl.appendErrs.Add(1)
+	}
 
 	byID := map[string]*replayedJob{}
 	var order []*replayedJob
@@ -365,8 +379,7 @@ func (jl *Journal) needsCompact(live int) bool {
 	return jl.f != nil && jl.records > 2*live+compactSlack
 }
 
-// compact rewrites the WAL to exactly the records build returns, using
-// the temp-file + fsync + atomic-rename + dir-fsync discipline: a crash
+// compact rewrites the WAL to exactly the records build returns: a crash
 // at any point leaves either the old WAL or the new one, never a mix.
 // build runs under the journal lock so no append can land between the
 // snapshot and the rewrite (which is why it must not be called with
@@ -382,73 +395,49 @@ func (jl *Journal) compact(build func() []walRecord) {
 		return
 	}
 	recs := build()
-	tmp := jl.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		jl.compactErrs.Add(1)
-		return
-	}
 	var size int64
-	w := bufio.NewWriter(faultinject.LimitWriter(nil, faultinject.PointJournalCompact, f))
 	n := 0
-	for _, rec := range recs {
-		frame, ok := encodeRecord(rec)
-		if !ok {
-			continue
-		}
-		if _, err = w.Write(frame); err != nil {
-			break
-		}
-		size += int64(len(frame))
-		n++
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, jl.path)
-	}
+	err := durable.WriteAtomic(context.Background(), jl.path,
+		durable.Points{Write: faultinject.PointJournalCompact},
+		func(w io.Writer) error {
+			bw := bufio.NewWriter(w)
+			for _, rec := range recs {
+				frame, ok := encodeRecord(rec)
+				if !ok {
+					continue
+				}
+				if _, err := bw.Write(frame); err != nil {
+					return err
+				}
+				size += int64(len(frame))
+				n++
+			}
+			return bw.Flush()
+		})
 	if err != nil {
-		os.Remove(tmp)
 		jl.compactErrs.Add(1)
-		return
+		if !errors.Is(err, durable.ErrDirSync) {
+			return // the old WAL is untouched
+		}
+		// The new WAL is in place, only its directory fsync failed: keep
+		// going, or appends would land in the unlinked old file.
 	}
-	syncDir(jl.dir)
 	// The old handle points at the unlinked inode; reopen the new file
 	// for appends.
-	nf, err := os.OpenFile(jl.path, os.O_RDWR, 0o644)
-	if err != nil {
-		jl.f.Close()
-		jl.f = nil
-		jl.compactErrs.Add(1)
-		return
-	}
-	if _, err := nf.Seek(size, io.SeekStart); err != nil {
-		nf.Close()
-		jl.f.Close()
-		jl.f = nil
-		jl.compactErrs.Add(1)
-		return
+	nf, err := os.OpenFile(jl.path, os.O_RDWR, 0)
+	if err == nil {
+		if _, err = nf.Seek(size, io.SeekStart); err != nil {
+			nf.Close()
+		}
 	}
 	jl.f.Close()
-	jl.f, jl.off, jl.records = nf, size, n
-	jl.compactions.Add(1)
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
 	if err != nil {
+		jl.f = nil
+		jl.compactErrs.Add(1)
 		return
 	}
-	d.Sync()
-	d.Close()
+	jl.f, jl.off, jl.records = nf, size, n
+	jl.compactions.Add(1)
 }
 
 // JournalStats is the `journal` block of the jobs stats: durability

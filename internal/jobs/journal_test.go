@@ -341,6 +341,144 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
+// TestJournalCompactionFaults: a compaction that fails before its rename
+// keeps the old WAL, leaves no temp file and stays appendable; one whose
+// directory fsync fails has already swapped the file, so the journal must
+// follow it — an append that landed in the unlinked old file would be
+// lost to the next boot. Both are counted.
+func TestJournalCompactionFaults(t *testing.T) {
+	cases := []struct {
+		name      string
+		point     string
+		fault     faultinject.Fault
+		compacted uint64
+	}{
+		{"torn rewrite", faultinject.PointJournalCompact,
+			faultinject.Fault{Kind: faultinject.KindPartialWrite, Bytes: 10}, 0},
+		{"directory fsync", faultinject.PointDirSync,
+			faultinject.Fault{Kind: faultinject.KindError}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jl := newJournal(t, dir)
+			m1 := New(Config{Journal: jl})
+			m1.Start()
+			run := func(m *Manager, res string) *Job {
+				t.Helper()
+				j, err := m.Submit("prove", func(ctx context.Context, started func()) (any, error) {
+					started()
+					return res, nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				<-j.Done()
+				return j
+			}
+			before := run(m1, "before")
+
+			disarm := faultinject.Arm(tc.point, tc.fault)
+			jl.compact(m1.liveWALRecords)
+			disarm()
+			st := m1.Snapshot().Journal
+			if st.CompactErrors != 1 || st.Compactions != tc.compacted {
+				t.Fatalf("compact_errors=%d compactions=%d, want 1 and %d", st.CompactErrors, st.Compactions, tc.compacted)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+				t.Fatalf("failed compaction left temp files: %v", tmps)
+			}
+			after := run(m1, "after")
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			m1.Shutdown(ctx)
+
+			m2 := newTestManager(t, Config{Journal: newJournal(t, dir)})
+			for _, j := range []*Job{before, after} {
+				if got, err := m2.Get(j.ID()); err != nil || got.State() != StateDone {
+					t.Fatalf("job %s after restart = (%v, %v), want it replayed as done", j.ID(), got, err)
+				}
+			}
+			if torn := m2.Snapshot().Journal.TornRecords; torn != 0 {
+				t.Fatalf("torn_records = %d after a failed compaction, want an intact WAL", torn)
+			}
+		})
+	}
+}
+
+// TestJournalFirstBootSyncsDir: the first boot creates jobs.wal, and the
+// "fsync before 202" promise needs that directory entry durable too. The
+// fsync is observable through its fault point: failing it is booked, and
+// costs durability only — the journal still records and replays.
+func TestJournalFirstBootSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	defer faultinject.Reset()
+	disarm := faultinject.Arm(faultinject.PointDirSync, faultinject.Fault{Kind: faultinject.KindError})
+	m1 := New(Config{Journal: newJournal(t, dir)})
+	disarm()
+	if errs := m1.Snapshot().Journal.AppendErrors; errs != 1 {
+		t.Fatalf("append_errors = %d after a failed first-boot directory fsync, want 1 (was the directory synced at all?)", errs)
+	}
+	m1.Start()
+	j, err := m1.Submit("prove", func(ctx context.Context, started func()) (any, error) {
+		started()
+		return "ok", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	m1.Shutdown(ctx)
+
+	m2 := newTestManager(t, Config{Journal: newJournal(t, dir)})
+	if got, err := m2.Get(j.ID()); err != nil || got.State() != StateDone {
+		t.Fatalf("job after restart = (%v, %v), want it replayed", got, err)
+	}
+	if errs := m2.Snapshot().Journal.AppendErrors; errs != 0 {
+		t.Fatalf("append_errors = %d on a clean boot, want 0", errs)
+	}
+}
+
+// TestOpenJournalSweepsCompactionTemps: a crash mid-compaction strands a
+// temp file beside the WAL (jobs.wal.tmp from older binaries,
+// jobs.wal.<random>.tmp now); opening the journal removes it and leaves
+// the WAL and the quarantined tail alone.
+func TestOpenJournalSweepsCompactionTemps(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Now().UnixNano()
+	rec, _ := encodeRecord(walRecord{Op: opAccepted, ID: "kept", Kind: "prove", At: now, Req: []byte(`{}`)})
+	done, _ := encodeRecord(walRecord{Op: opDone, ID: "kept", At: now, Res: []byte(`"r"`)})
+	rec = append(rec, done...)
+	for name, data := range map[string][]byte{
+		walName:                 rec,
+		walName + ".tmp":        rec[:5],
+		walName + ".987654.tmp": rec[:9],
+		walCorruptName:          []byte("torn"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl := newJournal(t, dir)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ent := range entries {
+		names = append(names, ent.Name())
+	}
+	if len(names) != 2 || names[0] != walName || names[1] != walCorruptName {
+		t.Fatalf("journal dir after open = %v, want only %s and %s", names, walName, walCorruptName)
+	}
+	m := newTestManager(t, Config{Journal: jl})
+	if st := m.Snapshot().Journal; st.Replayed != 1 || st.TornRecords != 0 {
+		t.Fatalf("journal after sweep = %+v, want the planted job replayed", st)
+	}
+}
+
 // TestJournalAppendFaultDegrades: an armed jobs.journal.append fault
 // costs durability (counted), never availability — the job still runs.
 func TestJournalAppendFaultDegrades(t *testing.T) {

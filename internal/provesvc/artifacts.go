@@ -11,11 +11,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 
 	"zkperf/internal/backend"
 	"zkperf/internal/curve"
+	"zkperf/internal/durable"
 	"zkperf/internal/faultinject"
 	"zkperf/internal/r1cs"
 )
@@ -23,30 +23,19 @@ import (
 // The disk artifact store. The comparative literature (ZKProphet, SZKP)
 // treats setup/key material as the dominant amortizable cost of a
 // prover; our in-memory registry amortizes it across requests, and this
-// store amortizes it across process restarts. The failure model is
-// deliberately paranoid, because a corrupt proving key is the worst
-// artifact to load — it silently produces garbage proofs:
+// store amortizes it across process restarts. A corrupt proving key is
+// the worst artifact to load — it silently produces garbage proofs — so
+// files live in internal/durable's sealed envelope (crash-safe writes,
+// SHA-256 payload checksum, quarantine to *.corrupt, startup sweep) and
+// any validation, key-match or decode failure is a cache miss that
+// re-runs setup: never a panic, never an error surfaced to a job.
 //
-//   - Writes are crash-safe: payload → temp file in the same directory,
-//     fsync, atomic rename over the final name, fsync of the directory.
-//     A crash at any point leaves either the old file or a stray *.tmp
-//     (swept on startup), never a torn *.zka.
-//   - Every file carries a header checksum (SHA-256 of the payload) plus
-//     the full circuit key; loads verify both before decoding.
-//   - Anything invalid — bad magic, short file, checksum mismatch, key
-//     mismatch, decode failure — quarantines the file (rename to
-//     *.corrupt) and reports a cache miss so the registry recompiles.
-//     Corruption is never a panic and never an error surfaced to a job.
+// Payload format inside the envelope (everything little-endian):
 //
-// File format (everything little-endian):
-//
-//	magic   [8]byte  "ZKARTv1\n"
-//	sum     [32]byte sha256 of the payload (everything after the header)
-//	payload:
-//	  backend  u16 len + bytes      curve  u16 len + bytes
-//	  srcHash  [32]byte             (the registry's circuit-source hash)
-//	  pk       u64 len + bytes      (backend.ProvingKey.Encode)
-//	  vk       u64 len + bytes      (backend.VerifyingKey.Encode)
+//	backend  u16 len + bytes      curve  u16 len + bytes
+//	srcHash  [32]byte             (the registry's circuit-source hash)
+//	pk       u64 len + bytes      (backend.ProvingKey.Encode)
+//	vk       u64 len + bytes      (backend.VerifyingKey.Encode)
 //
 // Only keys are persisted: the constraint system and solver program are
 // recompiled from source (cheap, and the source is the cache key anyway).
@@ -55,7 +44,12 @@ import (
 
 var artifactMagic = [8]byte{'Z', 'K', 'A', 'R', 'T', 'v', '1', '\n'}
 
-// errArtifactCorrupt tags validation failures that quarantine a file.
+var artifactPoints = durable.Points{
+	Write:  faultinject.PointArtifactWrite,
+	Rename: faultinject.PointArtifactRename,
+}
+
+// errArtifactCorrupt tags payload decode failures that quarantine a file.
 var errArtifactCorrupt = errors.New("provesvc: corrupt artifact file")
 
 // artifactStore persists (ProvingKey, VerifyingKey) pairs per CircuitKey
@@ -71,86 +65,26 @@ type artifactStore struct {
 	writeErrors atomic.Uint64 // failed persists (job unaffected)
 }
 
-// newArtifactStore opens (creating if needed) dir and sweeps stale temp
-// files left by a previous crash, quarantining any *.zka that fails its
-// checksum so startup never trusts a torn file.
+// newArtifactStore opens (creating if needed) dir and sweeps it, so
+// startup never trusts a torn file.
 func newArtifactStore(dir string) (*artifactStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("provesvc: artifact dir: %w", err)
 	}
-	st := &artifactStore{dir: dir}
-	st.scan()
-	return st, nil
-}
-
-// scan validates every *.zka header+checksum, quarantining failures, and
-// removes orphaned *.tmp files from interrupted writes.
-func (st *artifactStore) scan() {
-	entries, err := os.ReadDir(st.dir)
+	n, err := durable.Sweep(dir, ".zka", artifactMagic)
 	if err != nil {
-		return
+		return nil, fmt.Errorf("provesvc: artifact dir: %w", err)
 	}
-	for _, ent := range entries {
-		name := ent.Name()
-		path := filepath.Join(st.dir, name)
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			os.Remove(path) // a write that never reached its rename
-		case strings.HasSuffix(name, ".zka"):
-			if _, err := st.readValidated(path); err != nil {
-				st.quarantine(path)
-			}
-		}
-	}
+	st := &artifactStore{dir: dir}
+	st.quarantined.Add(uint64(n))
+	return st, nil
 }
 
 // path names the artifact file for key: the leading 12 bytes of the
 // source hash plus the curve and backend, all filename-safe.
 func (st *artifactStore) path(key CircuitKey) string {
-	clean := func(s string) string {
-		return strings.Map(func(r rune) rune {
-			switch {
-			case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
-				return r
-			default:
-				return '_'
-			}
-		}, strings.ToLower(s))
-	}
 	return filepath.Join(st.dir, fmt.Sprintf("%s.%s.%s.zka",
-		hex.EncodeToString(key.SourceHash[:12]), clean(key.Curve), clean(key.Backend)))
-}
-
-// quarantine renames a corrupt file out of the cache namespace so it is
-// preserved for inspection but never considered again.
-func (st *artifactStore) quarantine(path string) {
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		// Rename can only really fail if the file vanished; removing the
-		// source of corruption matters more than preserving it.
-		os.Remove(path)
-	}
-	st.quarantined.Add(1)
-}
-
-// readValidated reads path and returns its payload after verifying the
-// magic and checksum. Any validation failure wraps errArtifactCorrupt.
-func (st *artifactStore) readValidated(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < len(artifactMagic)+sha256.Size {
-		return nil, fmt.Errorf("%w: %d-byte file shorter than header", errArtifactCorrupt, len(raw))
-	}
-	if !bytes.Equal(raw[:len(artifactMagic)], artifactMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", errArtifactCorrupt)
-	}
-	payload := raw[len(artifactMagic)+sha256.Size:]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(raw[len(artifactMagic):len(artifactMagic)+sha256.Size], sum[:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", errArtifactCorrupt)
-	}
-	return payload, nil
+		hex.EncodeToString(key.SourceHash[:12]), durable.SafeName(key.Curve), durable.SafeName(key.Backend)))
 }
 
 // load returns the persisted keys for key, decoded against bk and sys.
@@ -158,7 +92,7 @@ func (st *artifactStore) readValidated(path string) ([]byte, error) {
 // decode failure — and the caller falls back to a fresh setup.
 func (st *artifactStore) load(ctx context.Context, key CircuitKey, bk backend.Backend, sys *r1cs.System) (pk backend.ProvingKey, vk backend.VerifyingKey, ok bool) {
 	path := st.path(key)
-	payload, err := st.readValidated(path)
+	payload, err := durable.ReadSealed(path, artifactMagic)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil, false
 	}
@@ -169,7 +103,8 @@ func (st *artifactStore) load(ctx context.Context, key CircuitKey, bk backend.Ba
 		pk, vk, err = decodeArtifactPayload(payload, key, bk, sys)
 	}
 	if err != nil {
-		st.quarantine(path)
+		durable.Quarantine(path)
+		st.quarantined.Add(1)
 		return nil, nil, false
 	}
 	st.diskLoads.Add(1)
@@ -239,11 +174,12 @@ func decodeArtifactPayload(payload []byte, key CircuitKey, bk backend.Backend, s
 }
 
 // save persists the keys for key crash-safely. Persistence failures are
-// counted, the job that produced the keys is never affected, and a
-// failed write leaves no *.zka behind (at worst a *.tmp swept on the
-// next start — the kill-between-write window).
+// counted and the job that produced the keys is never affected.
 func (st *artifactStore) save(ctx context.Context, key CircuitKey, pk backend.ProvingKey, vk backend.VerifyingKey) error {
-	err := st.trySave(ctx, key, pk, vk)
+	payload, err := encodeArtifactPayload(key, pk, vk)
+	if err == nil {
+		err = durable.WriteSealed(ctx, st.path(key), artifactPoints, artifactMagic, payload)
+	}
 	if err != nil {
 		st.writeErrors.Add(1)
 		return err
@@ -252,7 +188,7 @@ func (st *artifactStore) save(ctx context.Context, key CircuitKey, pk backend.Pr
 	return nil
 }
 
-func (st *artifactStore) trySave(ctx context.Context, key CircuitKey, pk backend.ProvingKey, vk backend.VerifyingKey) error {
+func encodeArtifactPayload(key CircuitKey, pk backend.ProvingKey, vk backend.VerifyingKey) ([]byte, error) {
 	var payload bytes.Buffer
 	writeStr := func(s string) {
 		binary.Write(&payload, binary.LittleEndian, uint16(len(s)))
@@ -271,51 +207,12 @@ func (st *artifactStore) trySave(ctx context.Context, key CircuitKey, pk backend
 		return nil
 	}
 	if err := writeBlob(pk.Encode); err != nil {
-		return fmt.Errorf("provesvc: encoding proving key: %w", err)
+		return nil, fmt.Errorf("provesvc: encoding proving key: %w", err)
 	}
 	if err := writeBlob(vk.Encode); err != nil {
-		return fmt.Errorf("provesvc: encoding verifying key: %w", err)
+		return nil, fmt.Errorf("provesvc: encoding verifying key: %w", err)
 	}
-	sum := sha256.Sum256(payload.Bytes())
-
-	final := st.path(key)
-	f, err := os.CreateTemp(st.dir, filepath.Base(final)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	// The fault-injection writer simulates the process dying with the
-	// temp file half-written; the stray *.tmp is what scan() sweeps.
-	w := faultinject.LimitWriter(ctx, faultinject.PointArtifactWrite, f)
-	if _, err = w.Write(artifactMagic[:]); err == nil {
-		if _, err = w.Write(sum[:]); err == nil {
-			_, err = w.Write(payload.Bytes())
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		// The kill-between-write window: temp file durable, rename not yet
-		// performed.
-		err = faultinject.Point(ctx, faultinject.PointArtifactRename)
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// fsync the directory so the rename itself survives a power cut.
-	if d, derr := os.Open(st.dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return payload.Bytes(), nil
 }
 
 // ArtifactStats is the `artifacts` block of /v1/stats.

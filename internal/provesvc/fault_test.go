@@ -250,6 +250,15 @@ func TestArtifactWriteFaultsAreClean(t *testing.T) {
 			if left := zkaFiles(t, dir, ".zka"); len(left) != 0 {
 				t.Fatalf("torn write produced a *.zka: %v", left)
 			}
+			// A failed write removes its own temp file; only a process
+			// that dies mid-write leaves one, so plant that debris.
+			if left := zkaFiles(t, dir, ".tmp"); len(left) != 0 {
+				t.Fatalf("failed write left its temp file behind: %v", left)
+			}
+			stray := filepath.Join(dir, "0123456789ab.bn128.groth16.zka.1234567.tmp")
+			if err := os.WriteFile(stray, []byte("ZKARTv1\ntorn"), 0o600); err != nil {
+				t.Fatal(err)
+			}
 
 			// Restart with the fault gone: debris swept, setup re-runs,
 			// and this time the artifact persists.
@@ -270,6 +279,41 @@ func TestArtifactWriteFaultsAreClean(t *testing.T) {
 				t.Errorf("artifacts after clean rewrite = %v, want 1", got)
 			}
 		})
+	}
+}
+
+// TestArtifactDirSyncFailureCounted: a directory fsync that fails after
+// the rename is booked as a write error instead of being swallowed — and
+// since the file did land, the next boot still loads it.
+func TestArtifactDirSyncFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	src := circuit.ExponentiateSource(16)
+	disarm := faultinject.Arm(faultinject.PointDirSync, faultinject.Fault{Kind: faultinject.KindError})
+	t.Cleanup(faultinject.Reset)
+
+	tables := curve.ReadTableStats()
+	s1 := New(WithWorkers(1), WithSeed(53), WithArtifactDir(dir))
+	s1.Start()
+	if _, err := s1.Prove(context.Background(), ProveRequest{Source: src, Inputs: assignX(t, s1, "bn128", 3)}); err != nil {
+		t.Fatalf("prove with a failing directory fsync: %v (persistence must never fail the job)", err)
+	}
+	if st := s1.Registry().ArtifactStats(); st.WriteErrors != 1 || st.DiskWrites != 0 {
+		t.Errorf("artifact stats = %+v, want the failed fsync booked as 1 write error", st)
+	}
+	if got := curve.ReadTableStats().WriteErrors - tables.WriteErrors; got != 2 {
+		t.Errorf("table write errors = %d, want 2 (G1 and G2)", got)
+	}
+	s1.Shutdown(context.Background())
+
+	disarm()
+	s2 := New(WithWorkers(1), WithSeed(54), WithArtifactDir(dir))
+	s2.Start()
+	defer s2.Shutdown(context.Background())
+	if _, err := s2.Prove(context.Background(), ProveRequest{Source: src, Inputs: assignX(t, s2, "bn128", 3)}); err != nil {
+		t.Fatalf("prove after restart: %v", err)
+	}
+	if st := s2.Registry().ArtifactStats(); st.DiskLoads != 1 || st.Quarantined != 0 || s2.Registry().Setups() != 0 {
+		t.Errorf("after restart: stats %+v setups %d, want the renamed artifact loaded from disk", st, s2.Registry().Setups())
 	}
 }
 

@@ -62,13 +62,6 @@ type WorkloadConfig struct {
 	// unreserved (default 1) so cold circuits can never be starved
 	// outright by reservations.
 	MinColdWorkers int
-	// ColdSteal lets a reserved worker take cold work while its hot
-	// queue is idle. Off by default: a stolen cold job head-of-line
-	// blocks the next hot arrival for the cold job's full duration —
-	// with heavy cold circuits that is precisely the tail the
-	// reservation exists to cut. Enable it to trade hot p99 back for
-	// throughput when hot traffic is too sparse to keep its workers busy.
-	ColdSteal bool
 	// HalfLife is the decay half-life of the arrival- and drain-rate
 	// counters (default 10s): a circuit that stops arriving loses half
 	// its score every HalfLife.
@@ -490,57 +483,25 @@ func (sc *scheduler) drainDemoted(hq *hotQueue) {
 }
 
 // workerLoop is one worker's scheduling loop. A reserved worker serves
-// only its hot queue (or, under ColdSteal, prefers it but takes cold
-// work while it is idle); a cold worker only ever serves the shared
-// queue, so hot bursts cannot starve cold circuits past the reservation
-// cap. A plan swap closes the old plan's changed channel, bouncing
-// blocked workers back to re-read their assignment.
+// only its hot queue — it idles until hot work arrives, so a hot job
+// never queues behind a long cold job this worker picked up moments
+// earlier; a cold worker only ever serves the shared queue, so hot bursts
+// cannot starve cold circuits past the reservation cap. A plan swap
+// closes the old plan's changed channel, bouncing blocked workers back to
+// re-read their assignment.
 func (sc *scheduler) workerLoop(id int) {
 	s := sc.svc
 	for {
 		plan := sc.plan.Load()
-		hq := plan.hotFor(id)
-		if hq == nil {
-			select {
-			case <-s.done:
-				return
-			case <-plan.changed:
-				continue
-			case j := <-s.jobs:
-				s.run(j)
-			}
-			continue
-		}
-		if !sc.cfg.ColdSteal {
-			// Strictly dedicated: idle until hot work arrives, so a hot
-			// job never queues behind a long cold job this worker picked
-			// up moments earlier.
-			select {
-			case <-s.done:
-				return
-			case <-plan.changed:
-				continue
-			case j := <-hq.ch:
-				s.run(j)
-			}
-			continue
-		}
-		// Hot-first steal: never pick up cold work while dedicated work
-		// waits, but don't idle while the cold queue is deep.
-		select {
-		case j := <-hq.ch:
-			s.run(j)
-			continue
-		default:
+		queue := s.jobs
+		if hq := plan.hotFor(id); hq != nil {
+			queue = hq.ch
 		}
 		select {
 		case <-s.done:
 			return
 		case <-plan.changed:
-			continue
-		case j := <-hq.ch:
-			s.run(j)
-		case j := <-s.jobs:
+		case j := <-queue:
 			s.run(j)
 		}
 	}
