@@ -43,7 +43,8 @@ go test -run '^$' -fuzz '^FuzzReadVerifyingKey$' -fuzztime=5s ./internal/backend
 # prefixes, torn frames, bit rot).
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime=5s ./internal/jobs/
 # Cluster smoke: two zkserve nodes behind zkgateway over real loopback
-# sockets — async jobs complete, routing stays shard-stable (per-node
+# sockets — async jobs complete, the request ID the gateway logged for a
+# submit is in a node's access log, routing stays shard-stable (per-node
 # setup counters stop growing), and killing a node fails its shard over.
 sh scripts/e2e_cluster.sh
 # Durability chaos drill: a journaled zkserve under zkload -async

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"zkperf/internal/client"
+	"zkperf/internal/httpx"
 )
 
 // Remote mode: `zkcli prove -addr http://host:8090 …`, `zkcli verify
@@ -221,18 +222,14 @@ func verifyBatchRemote(addr, manifestPath, defCurve, defBackend string, retries 
 
 // jobStatus mirrors the server's /v1/jobs/{id} response.
 type jobStatus struct {
-	ID     string          `json:"id"`
-	Kind   string          `json:"kind"`
-	State  string          `json:"state"`
-	WaitMs float64         `json:"wait_ms"`
-	RunMs  float64         `json:"run_ms"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  *struct {
-		Code      string `json:"code"`
-		Message   string `json:"message"`
-		Retryable bool   `json:"retryable"`
-	} `json:"error,omitempty"`
-	Deduped bool `json:"deduped,omitempty"`
+	ID      string          `json:"id"`
+	Kind    string          `json:"kind"`
+	State   string          `json:"state"`
+	WaitMs  float64         `json:"wait_ms"`
+	RunMs   float64         `json:"run_ms"`
+	Result  json.RawMessage `json:"result,omitempty"`
+	Error   *httpx.Envelope `json:"error,omitempty"`
+	Deduped bool            `json:"deduped,omitempty"`
 }
 
 // failure converts a failed job's embedded envelope into a *client.Error

@@ -39,7 +39,7 @@ import (
 	"time"
 
 	"zkperf/internal/cluster"
-	"zkperf/internal/provesvc"
+	"zkperf/internal/httpx"
 	"zkperf/internal/telemetry"
 )
 
@@ -78,7 +78,7 @@ func main() {
 
 	handler := gw.Handler()
 	if *accessLog {
-		handler = provesvc.LogRequests(handler, nil)
+		handler = httpx.LogRequests(handler)
 	}
 	// Same edge-timeout posture as zkserve: bound header/body reads and
 	// idle keep-alives, but no WriteTimeout — a proxied prove response is

@@ -44,9 +44,9 @@
 // classification is the "sched" block of /v1/stats; cmd/zkload measures
 // the effect.
 //
-// The legacy unversioned paths answer 410 with envelope code "gone".
+// The retired pre-/v1 paths answer 410 with envelope code "gone".
 // Every response carries an X-Request-Id header (the client's, when
-// sane) that also appears in the access log.
+// valid) that also appears in the access log; see internal/httpx.
 //
 // -debug-addr starts a second listener serving net/http/pprof (and the
 // same /v1/metrics) for profiling; it is off by default so production
@@ -72,6 +72,7 @@ import (
 	"time"
 
 	"zkperf/internal/faultinject"
+	"zkperf/internal/httpx"
 	"zkperf/internal/provesvc"
 	"zkperf/internal/telemetry"
 )
@@ -174,7 +175,7 @@ func main() {
 
 	handler := provesvc.NewHandler(svc)
 	if *accessLog {
-		handler = provesvc.LogRequests(handler, nil)
+		handler = httpx.LogRequests(handler)
 	}
 	// Edge timeouts: header/body reads and idle keep-alives are bounded so
 	// a slowloris client cannot pin a connection, but there is deliberately
@@ -262,16 +263,6 @@ func debugMux(tel *telemetry.Telemetry) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		reg := tel.Registry()
-		if reg == nil {
-			http.Error(w, "telemetry disabled", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WriteText(w); err != nil {
-			log.Printf("zkserve: writing metrics: %v", err)
-		}
-	})
+	mux.Handle("GET /v1/metrics", httpx.Metrics("zkserve", tel.Registry()))
 	return mux
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"zkperf/internal/httpx"
 )
 
 // The unified /v1 batch convention: a batch body is {"items":[…]} and
@@ -13,17 +15,6 @@ import (
 // helpers are the one place the shape is spelled out — zkcli's batch
 // verify and the gateway's scatter-gather both build and split batches
 // through them.
-
-// BatchError is the per-item error envelope inside a batch result.
-type BatchError struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	Retryable bool   `json:"retryable"`
-}
-
-func (e *BatchError) Error() string {
-	return fmt.Sprintf("%s: %s (retryable=%v)", e.Code, e.Message, e.Retryable)
-}
 
 // VerifyItem is one /v1/verify/batch request slot: the same fields as a
 // single /v1/verify body. Proof is hex in the backend's serialization.
@@ -39,9 +30,9 @@ type VerifyItem struct {
 // of Valid and Err is set: a nil Valid means the item never reached the
 // pairing check and Err says why.
 type VerifyBatchResult struct {
-	Index int         `json:"index"`
-	Valid *bool       `json:"valid,omitempty"`
-	Err   *BatchError `json:"error,omitempty"`
+	Index int             `json:"index"`
+	Valid *bool           `json:"valid,omitempty"`
+	Err   *httpx.Envelope `json:"error,omitempty"`
 }
 
 // VerifyBatch posts items to /v1/verify/batch and returns the

@@ -21,6 +21,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"zkperf/internal/httpx"
 )
 
 // maxBody caps how much of a response body a client reads (proofs for
@@ -146,11 +148,7 @@ func (c *Client) once(method, path string, payload []byte, header http.Header) (
 		return resp.StatusCode, raw, hint, false, nil
 	}
 	env := &Error{Status: resp.StatusCode, RetryAfter: hint}
-	var wire struct {
-		Code      string `json:"code"`
-		Message   string `json:"message"`
-		Retryable bool   `json:"retryable"`
-	}
+	var wire httpx.Envelope
 	if jsonErr := json.Unmarshal(raw, &wire); jsonErr != nil || wire.Code == "" {
 		return resp.StatusCode, nil, hint, false, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(raw)))
 	}

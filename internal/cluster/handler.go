@@ -3,14 +3,11 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
 
 	"zkperf/internal/client"
-	"zkperf/internal/telemetry"
+	"zkperf/internal/httpx"
 )
 
 // The gateway speaks the same /v1 wire API as a single zkserve node, so
@@ -28,53 +25,31 @@ import (
 //	GET    /v1/metrics       gateway registry (zkgw_* series)
 //	GET    /v1/healthz       200 while ≥1 node is healthy
 //
-// Batch endpoints speak the unified convention: {"items":[…]} in,
-// index-aligned {"results":[{"index",…}]} out; the retired
-// {"requests":[…]} alias is rejected with code "invalid_request".
-// Unversioned paths answer 410 with envelope code "gone", matching the
-// nodes.
+// The shared edge (internal/httpx) answers the legacy paths, /v1/metrics
+// and request IDs exactly as the nodes do, and the inbound request ID is
+// forwarded on every call to a node, so one ID joins the gateway's access
+// log to the node's. Batch endpoints speak the unified convention:
+// {"items":[…]} in, index-aligned {"results":[{"index",…}]} out.
 //
 // Error envelopes from nodes pass through verbatim with their original
-// status; gateway-originated failures use the same {code, message,
-// retryable} shape with codes node_unreachable (502, one node down) and
-// no_healthy_node (503, ring exhausted), both retryable.
+// status; gateway-originated failures use the same envelope with codes
+// node_unreachable (502, one node down) and no_healthy_node (503, ring
+// exhausted), both retryable.
 
-// maxGatewayBody bounds request bodies the gateway will buffer before
-// forwarding; matches the node-side default so the gateway never
-// accepts what every node would refuse.
-const maxGatewayBody = 4 << 20
-
-// gwEnvelope mirrors the node error envelope on gateway-originated
-// failures.
-type gwEnvelope struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	Retryable bool   `json:"retryable"`
-}
-
-func gwWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// gwWriteError relays an error to the client. A *client.Error carries
-// the upstream node's envelope (or a gateway-synthesized one) with its
-// status and Retry-After; anything else is a 400 bad_request.
-func gwWriteError(w http.ResponseWriter, err error) {
+// writeError relays an error to the client. A *client.Error carries the
+// upstream node's envelope (or a gateway-synthesized one) with its status
+// and Retry-After; anything else takes the edge's class (httpx.Classify).
+func writeError(w http.ResponseWriter, err error) {
 	if we, ok := err.(*client.Error); ok {
 		status := we.Status
 		if status == 0 {
 			status = http.StatusBadGateway
 		}
-		if we.RetryAfter > 0 {
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int((we.RetryAfter+time.Second-1)/time.Second)))
-		}
-		gwWriteJSON(w, status, gwEnvelope{Code: we.Code, Message: we.Message, Retryable: we.Retryable})
+		httpx.WriteError(w, status, &httpx.Envelope{Code: we.Code, Message: we.Message, Retryable: we.Retryable}, we.RetryAfter)
 		return
 	}
-	gwWriteJSON(w, http.StatusBadRequest, gwEnvelope{Code: "bad_request", Message: err.Error()})
+	status, code := httpx.Classify(err)
+	httpx.WriteError(w, status, &httpx.Envelope{Code: code, Message: err.Error()}, 0)
 }
 
 // routeFields is the subset of a prove/verify/job body the gateway
@@ -97,36 +72,19 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", g.handleJobByID(http.MethodGet))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", g.handleJobByID(http.MethodDelete))
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
-	mux.HandleFunc("GET /v1/metrics", g.handleMetrics)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
-	for _, path := range []string{"/prove", "/prove/batch", "/verify", "/verify/batch", "/jobs", "/stats", "/metrics", "/healthz"} {
-		mux.HandleFunc(path, handleLegacyGone(path))
-	}
-	return gwRequestID(mux)
+	return httpx.Mount(mux, "cluster", g.tel.Registry(), nil)
 }
 
-// gwRequestID stamps X-Request-Id exactly like a node does, so one ID
-// follows a request through the gateway log and the node's access log.
-func gwRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" || len(id) > 64 {
-			id = telemetry.NewRequestID()
-		}
-		w.Header().Set("X-Request-Id", id)
-		next.ServeHTTP(w, r.WithContext(telemetry.WithRequestID(r.Context(), id)))
-	})
-}
-
-// readBody buffers the (bounded) request body and extracts the shard
-// key fields from it.
+// readBody buffers the (capped) request body and extracts the shard key
+// fields from it.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, routeFields, error) {
 	var rf routeFields
-	buf, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxGatewayBody))
-	if err != nil {
-		return nil, rf, fmt.Errorf("cluster: reading request body: %w", err)
+	buf, err := httpx.ReadAll(w, r, httpx.MaxBody)
+	if err == nil {
+		err = json.Unmarshal(buf, &rf)
 	}
-	if err := json.Unmarshal(buf, &rf); err != nil {
+	if err != nil {
 		return nil, rf, fmt.Errorf("cluster: bad request body: %w", err)
 	}
 	return buf, rf, nil
@@ -138,22 +96,16 @@ func (g *Gateway) handleRouted(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		payload, rf, err := readBody(w, r)
 		if err != nil {
-			gwWriteError(w, err)
+			writeError(w, err)
 			return
 		}
-		_, _, data, err := g.forward(routeKey(rf.Curve, rf.Backend, rf.Circuit), path, payload, nil)
+		_, _, data, err := g.forward(routeKey(rf.Curve, rf.Backend, rf.Circuit), path, payload, httpx.Forward(r))
 		if err != nil {
-			gwWriteError(w, err)
+			writeError(w, err)
 			return
 		}
-		writeRaw(w, http.StatusOK, data)
+		httpx.WriteRaw(w, http.StatusOK, data)
 	}
-}
-
-func writeRaw(w http.ResponseWriter, status int, data []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(data)
 }
 
 // handleJobSubmit routes an async submit like a prove, then rewrites
@@ -164,21 +116,21 @@ func writeRaw(w http.ResponseWriter, status int, data []byte) {
 func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	payload, rf, err := readBody(w, r)
 	if err != nil {
-		gwWriteError(w, err)
+		writeError(w, err)
 		return
 	}
-	var header http.Header
+	header := httpx.Forward(r)
 	if key := r.Header.Get("Idempotency-Key"); key != "" {
-		header = http.Header{"Idempotency-Key": []string{key}}
+		header.Set("Idempotency-Key", key)
 	}
 	n, status, data, err := g.forward(routeKey(rf.Curve, rf.Backend, rf.Circuit), "/v1/jobs", payload, header)
 	if err != nil {
-		gwWriteError(w, err)
+		writeError(w, err)
 		return
 	}
 	rewritten, err := rewriteJobID(data, n.name)
 	if err != nil {
-		gwWriteError(w, &client.Error{
+		writeError(w, &client.Error{
 			Code:      "internal_error",
 			Message:   fmt.Sprintf("cluster: undecodable job reply from %s: %v", n.name, err),
 			Status:    http.StatusBadGateway,
@@ -190,7 +142,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if status < 200 || status > 299 {
 		status = http.StatusAccepted
 	}
-	writeRaw(w, status, rewritten)
+	httpx.WriteRaw(w, status, rewritten)
 }
 
 // rewriteJobID suffixes the node name onto the "id" field of a job
@@ -218,33 +170,25 @@ func (g *Gateway) handleJobByID(method string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		gwID := r.PathValue("id")
 		remote, nodeName, ok := splitJobID(gwID)
-		if !ok {
-			gwWriteError(w, &client.Error{
-				Code:    "job_not_found",
-				Message: fmt.Sprintf("cluster: job id %q is not of the form <id>@<node>", gwID),
-				Status:  http.StatusNotFound,
-			})
-			return
-		}
 		n := g.byName[nodeName]
-		if n == nil {
-			gwWriteError(w, &client.Error{
+		if !ok || n == nil {
+			writeError(w, &client.Error{
 				Code:    "job_not_found",
-				Message: fmt.Sprintf("cluster: job %q names unknown node %q", gwID, nodeName),
+				Message: fmt.Sprintf("cluster: job id %q is not <id>@<node> for a node of this gateway", gwID),
 				Status:  http.StatusNotFound,
 			})
 			return
 		}
-		data, err := n.cl.Do(method, "/v1/jobs/"+remote, nil)
+		_, data, err := n.cl.DoWith(method, "/v1/jobs/"+remote, nil, httpx.Forward(r))
 		if err != nil {
 			if we, ok := err.(*client.Error); ok {
 				// Node answered: its verdict (404 after TTL, envelope on a
 				// failed cancel…) passes through.
-				gwWriteError(w, we)
+				writeError(w, we)
 				return
 			}
 			n.markFailure(g.cfg.FailThreshold, err)
-			gwWriteError(w, &client.Error{
+			writeError(w, &client.Error{
 				Code:      "node_unreachable",
 				Message:   fmt.Sprintf("cluster: node %s: %v", nodeName, err),
 				Status:    http.StatusBadGateway,
@@ -267,7 +211,7 @@ func (g *Gateway) handleJobByID(method string) http.HandlerFunc {
 			st.State != "done" && st.State != "failed" {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeRaw(w, http.StatusOK, rewritten)
+		httpx.WriteRaw(w, http.StatusOK, rewritten)
 	}
 }
 
@@ -280,27 +224,20 @@ func (g *Gateway) handleJobByID(method string) http.HandlerFunc {
 // indices are rewritten to the caller's global positions.
 func (g *Gateway) handleScatterBatch(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, maxGatewayBody)
 		var body struct {
-			Items []json.RawMessage `json:"items"`
-			// The deprecated "requests" alias finished its one-release
-			// grace period; its presence is rejected, matching the nodes.
-			Requests json.RawMessage `json:"requests"`
+			Items    []json.RawMessage `json:"items"`
+			Requests json.RawMessage   `json:"requests"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			gwWriteError(w, fmt.Errorf("cluster: bad request body: %w", err))
+		if err := httpx.Decode(w, r, httpx.MaxBody, &body); err != nil {
+			writeError(w, fmt.Errorf("cluster: bad request body: %w", err))
 			return
 		}
-		if body.Requests != nil {
-			gwWriteError(w, &client.Error{
-				Code:      "invalid_request",
-				Message:   `cluster: the deprecated "requests" batch field was removed; send {"items":[…]}`,
-				Status:    http.StatusBadRequest,
-				Retryable: false,
-			})
+		if env := httpx.Retired(body.Requests, "cluster"); env != nil {
+			httpx.WriteError(w, http.StatusBadRequest, env, 0)
 			return
 		}
 		list := body.Items
+		hdr := httpx.Forward(r)
 		type group struct {
 			key     uint64
 			indices []int
@@ -312,7 +249,7 @@ func (g *Gateway) handleScatterBatch(path string) http.HandlerFunc {
 		for i, raw := range list {
 			var rf routeFields
 			if err := json.Unmarshal(raw, &rf); err != nil {
-				gwWriteError(w, fmt.Errorf("cluster: bad request %d in batch: %w", i, err))
+				writeError(w, fmt.Errorf("cluster: bad request %d in batch: %w", i, err))
 				return
 			}
 			key := routeKey(rf.Curve, rf.Backend, rf.Circuit)
@@ -337,37 +274,28 @@ func (g *Gateway) handleScatterBatch(path string) http.HandlerFunc {
 			go func() {
 				defer wg.Done()
 				sub, _ := client.MarshalBatch(gr.items)
-				_, _, data, err := g.forward(gr.key, path, sub, nil)
-				if err != nil {
-					env := gwEnvelope{Code: "no_healthy_node", Message: err.Error(), Retryable: true}
-					if we, ok := err.(*client.Error); ok {
-						env = gwEnvelope{Code: we.Code, Message: we.Message, Retryable: we.Retryable}
-					}
-					for _, idx := range gr.indices {
-						item, _ := json.Marshal(map[string]any{"index": idx, "error": env})
-						results[idx] = item
-					}
-					return
-				}
-				rep, err := client.SplitBatchResults(data, len(gr.indices))
-				if err != nil {
-					for _, idx := range gr.indices {
-						item, _ := json.Marshal(map[string]any{"index": idx, "error": gwEnvelope{
-							Code:      "internal_error",
-							Message:   "cluster: " + err.Error(),
-							Retryable: true,
-						}})
-						results[idx] = item
-					}
-					return
+				_, _, data, err := g.forward(gr.key, path, sub, hdr)
+				var rep []json.RawMessage
+				if err == nil {
+					rep, err = client.SplitBatchResults(data, len(gr.indices))
 				}
 				for k, idx := range gr.indices {
-					results[idx] = rewriteIndex(rep[k], idx)
+					if err == nil {
+						results[idx] = rewriteIndex(rep[k], idx)
+						continue
+					}
+					// A node's (or the exhausted ring's) envelope, or an
+					// undecodable sub-batch reply.
+					env := httpx.Envelope{Code: "internal_error", Message: "cluster: " + err.Error(), Retryable: true}
+					if we, ok := err.(*client.Error); ok {
+						env = httpx.Envelope{Code: we.Code, Message: we.Message, Retryable: we.Retryable}
+					}
+					results[idx], _ = json.Marshal(map[string]any{"index": idx, "error": env})
 				}
 			}()
 		}
 		wg.Wait()
-		gwWriteJSON(w, http.StatusOK, map[string]any{"results": results})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"results": results})
 	}
 }
 
@@ -388,39 +316,14 @@ func rewriteIndex(raw json.RawMessage, idx int) json.RawMessage {
 	return out
 }
 
-// handleLegacyGone answers an unversioned path with the same 410
-// envelope the nodes emit, so clients migrating through a gateway see
-// one consistent contract.
-func handleLegacyGone(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		gwWriteJSON(w, http.StatusGone, gwEnvelope{
-			Code:    "gone",
-			Message: fmt.Sprintf("cluster: unversioned path %s was removed; use /v1%s", path, path),
-		})
-	}
-}
-
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	gwWriteJSON(w, http.StatusOK, g.Stats())
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := g.tel.Registry()
-	if reg == nil {
-		gwWriteJSON(w, http.StatusNotFound, gwEnvelope{
-			Code:    "not_found",
-			Message: "telemetry disabled",
-		})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WriteText(w)
+	httpx.WriteJSON(w, http.StatusOK, g.Stats())
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if g.healthyCount() == 0 {
-		gwWriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no_healthy_node"})
+		httpx.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no_healthy_node"})
 		return
 	}
-	gwWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

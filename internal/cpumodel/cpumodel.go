@@ -106,16 +106,6 @@ func All() []*CPU {
 	return []*CPU{NewI7_8650U(), NewI5_11400(), NewI9_13900K()}
 }
 
-// ByName returns the model with the given name, or nil.
-func ByName(name string) *CPU {
-	for _, c := range All() {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // TotalThreads returns the number of hardware threads (SMT).
 func (c *CPU) TotalThreads() int { return c.SMT }
 

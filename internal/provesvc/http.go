@@ -7,24 +7,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
-	"strconv"
 	"time"
 
 	"zkperf/internal/backend"
 	"zkperf/internal/faultinject"
 	"zkperf/internal/ff"
+	"zkperf/internal/httpx"
 	"zkperf/internal/jobs"
 	"zkperf/internal/telemetry"
 	"zkperf/internal/witness"
 )
 
-// DefaultMaxBodyBytes bounds /v1 prove and verify request bodies unless
-// WithMaxBodyBytes overrides it. Circuit sources and proofs are small;
-// 4 MiB leaves generous headroom for batch bodies while keeping a
-// hostile client from ballooning the decoder.
-const DefaultMaxBodyBytes = 4 << 20
+// DefaultMaxBodyBytes bounds /v1 request bodies unless WithMaxBodyBytes
+// overrides it: the edge's shared cap.
+const DefaultMaxBodyBytes = httpx.MaxBody
 
 // The HTTP front-end: stdlib-only JSON endpoints over the service,
 // versioned under /v1.
@@ -39,28 +36,23 @@ const DefaultMaxBodyBytes = 4 << 20
 //	GET  /v1/metrics       Prometheus text exposition of the telemetry registry
 //	GET  /v1/healthz       200 while accepting work, 503 while draining
 //
-// Every request gets an ID: the value of an incoming X-Request-Id header
-// if present, a fresh one otherwise. The ID is echoed in the response's
-// X-Request-Id header, attached to the request context (visible to the
-// telemetry probe and access logs) for the whole job.
+// The shared edge (internal/httpx) stamps every request with an ID that
+// rides the request context for the whole job, answers the legacy paths
+// and /v1/metrics, and caps bodies.
 //
 // The batch endpoints share one convention: the request is
 // {"items":[…]} and the response is {"results":[{"index",…}]} with one
 // entry per item, where a failed item carries the standard error
-// envelope under "error" instead of its result fields. The deprecated
-// {"requests":[…]} spelling on /v1/prove/batch finished its
-// one-release grace period and is rejected with code "invalid_request".
-// The legacy unversioned paths (removed after a deprecation cycle of
-// 308 redirects) answer 410 with the error envelope, code "gone".
+// envelope under "error" instead of its result fields; the retired
+// {"requests":[…]} spelling is rejected with code "invalid_request".
 // "backend" selects the proving scheme and defaults to "groth16".
 // Field elements travel as decimal or 0x-hex strings; proofs as hex of
 // the backend's serialization.
 //
-// Errors share one JSON envelope: {"code","message","retryable"}. code
-// is a stable machine-readable string (see errorClass), retryable tells
-// clients whether the same request can succeed later (load shedding,
-// drains and deadlines are retryable; malformed requests and invalid
-// proofs are not).
+// Errors use the edge's {"code","message","retryable"} envelope; the
+// node's policy is errorClass (which code, which status, retryable or
+// not: load shedding, drains and deadlines are retryable; malformed
+// requests and invalid proofs are not) plus retryAfter.
 
 type proveBody struct {
 	Curve     string            `json:"curve"`
@@ -80,25 +72,17 @@ type proveReply struct {
 	TotalMs     float64  `json:"total_ms"`
 }
 
+// batchBody and verifyBatchBody are the unified batch shape; Requests
+// only exists to catch the retired spelling (httpx.Retired).
 type batchBody struct {
-	// Items is the unified batch shape shared with /v1/verify/batch and
-	// POST /v1/jobs. The pre-unification "requests" spelling finished
-	// its one-release deprecation cycle and is now rejected outright —
-	// Requests only exists to detect it and answer invalid_request.
 	Items    []proveBody     `json:"items"`
 	Requests json.RawMessage `json:"requests"`
-}
-
-type errEnvelope struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	Retryable bool   `json:"retryable"`
 }
 
 type batchItem struct {
 	Index int `json:"index"`
 	*proveReply
-	Error *errEnvelope `json:"error,omitempty"`
+	Error *httpx.Envelope `json:"error,omitempty"`
 }
 
 type verifyBody struct {
@@ -110,22 +94,21 @@ type verifyBody struct {
 }
 
 type verifyBatchBody struct {
-	Items []verifyBody `json:"items"`
+	Items    []verifyBody    `json:"items"`
+	Requests json.RawMessage `json:"requests"`
 }
 
 // verifyBatchItem is one slot of the /v1/verify/batch response. Valid is
 // a pointer so a checked-but-invalid proof serializes as "valid": false
 // while an errored item omits the field entirely.
 type verifyBatchItem struct {
-	Index int          `json:"index"`
-	Valid *bool        `json:"valid,omitempty"`
-	Error *errEnvelope `json:"error,omitempty"`
+	Index int             `json:"index"`
+	Valid *bool           `json:"valid,omitempty"`
+	Error *httpx.Envelope `json:"error,omitempty"`
 }
 
-// NewHandler wraps the service in an http.Handler serving the /v1 API,
-// with request-ID stamping on every route. The legacy unversioned paths
-// (308 redirects until their deprecation cycle ended) now answer 410
-// with the standard envelope, code "gone".
+// NewHandler wraps the service in an http.Handler serving the /v1 API
+// behind the shared edge; each 410 on a legacy path is booked as "gone".
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/prove", s.handleProve)
@@ -136,74 +119,14 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	for _, path := range []string{"/prove", "/prove/batch", "/verify", "/verify/batch", "/jobs", "/stats", "/metrics", "/healthz"} {
-		mux.HandleFunc(path, s.handleLegacyGone)
-	}
-	return withRequestID(mux)
-}
-
-// handleLegacyGone answers the removed unversioned paths. A JSON
-// envelope (not a redirect) keeps the failure explicit and machine
-// readable: code "gone" is non-retryable, and the message names the
-// /v1 path to use instead.
-func (s *Service) handleLegacyGone(w http.ResponseWriter, r *http.Request) {
-	s.recordErrorCode("gone")
-	writeJSON(w, http.StatusGone, &errEnvelope{
-		Code:      "gone",
-		Message:   fmt.Sprintf("provesvc: unversioned path %s was removed; use /v1%s", r.URL.Path, r.URL.Path),
-		Retryable: false,
-	})
-}
-
-// withRequestID is the edge middleware that gives every request an ID:
-// reuse the client's X-Request-Id when sane, mint one otherwise, echo it
-// in the response and thread it through the context so the job's probe
-// and the access log can report it.
-func withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" || len(id) > 64 {
-			id = telemetry.NewRequestID()
-		}
-		w.Header().Set("X-Request-Id", id)
-		next.ServeHTTP(w, r.WithContext(telemetry.WithRequestID(r.Context(), id)))
-	})
-}
-
-// statusRecorder captures the status code for the access log.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// LogRequests wraps a handler with a structured access log: one line per
-// request with method, path, status, duration and request ID. logger may
-// be nil for the stdlib default logger.
-func LogRequests(next http.Handler, logger *log.Logger) http.Handler {
-	if logger == nil {
-		logger = log.Default()
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		next.ServeHTTP(rec, r)
-		logger.Printf("http method=%s path=%s status=%d dur_ms=%.1f request_id=%s",
-			r.Method, r.URL.Path, rec.status,
-			float64(time.Since(t0))/1e6, rec.Header().Get("X-Request-Id"))
-	})
+	return httpx.Mount(mux, "provesvc", s.tel.Registry(), func() { s.recordErrorCode("gone") })
 }
 
 // errorClass maps a service error to its HTTP status, stable error code
-// and retryability. Documented in the README's error-code table.
+// and retryability; errors it does not claim take the edge's class.
+// Documented in the README's error-code table.
 func errorClass(err error) (status int, code string, retryable bool) {
-	var tooBig *http.MaxBytesError
 	var replayed *jobs.ReplayedError
 	switch {
 	case errors.As(err, &replayed):
@@ -231,8 +154,6 @@ func errorClass(err error) (status int, code string, retryable bool) {
 		return http.StatusServiceUnavailable, "circuit_open", true
 	case errors.Is(err, ErrInternal):
 		return http.StatusInternalServerError, "internal_error", false
-	case errors.As(err, &tooBig):
-		return http.StatusRequestEntityTooLarge, "body_too_large", false
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline_exceeded", true
 	case errors.Is(err, context.Canceled):
@@ -244,33 +165,55 @@ func errorClass(err error) (status int, code string, retryable bool) {
 	case errors.Is(err, backend.ErrInvalidProof):
 		return http.StatusBadRequest, "invalid_proof", false
 	default:
-		return http.StatusBadRequest, "bad_request", false
+		status, code := httpx.Classify(err)
+		return status, code, false
 	}
 }
 
-func envelope(err error) (int, *errEnvelope) {
+func envelope(err error) (int, *httpx.Envelope) {
 	status, code, retryable := errorClass(err)
-	return status, &errEnvelope{Code: code, Message: err.Error(), Retryable: retryable}
+	return status, &httpx.Envelope{Code: code, Message: err.Error(), Retryable: retryable}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+// writeError serves err's envelope; see writeEnvelope.
+func (s *Service) writeError(w http.ResponseWriter, err error) {
+	status, env := envelope(err)
+	s.writeEnvelope(w, status, env)
 }
 
-// writeError serves the envelope and books the code into the `errors`
+// writeEnvelope answers with env and books its code into the `errors`
 // block of /v1/stats and the zkp_http_errors_total metric, so every
 // error code a client can see is also visible to the operator. Shed
 // responses carry a Retry-After hint so well-behaved clients back off
 // at least as long as the condition will actually last.
-func (s *Service) writeError(w http.ResponseWriter, err error) {
-	status, env := envelope(err)
-	if ra := s.retryAfter(env.Code); ra > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int((ra+time.Second-1)/time.Second)))
-	}
+func (s *Service) writeEnvelope(w http.ResponseWriter, status int, env *httpx.Envelope) {
 	s.recordErrorCode(env.Code)
-	writeJSON(w, status, env)
+	httpx.WriteError(w, status, env, s.retryAfter(env.Code))
+}
+
+// decode is the preamble of the synchronous /v1 routes: the route's
+// fault point, then one JSON value of the capped body into v. false
+// means the error answer has been served.
+func (s *Service) decode(w http.ResponseWriter, r *http.Request, point string, v any) bool {
+	if err := faultinject.Point(r.Context(), point); err != nil {
+		s.writeError(w, fmt.Errorf("%w: %v", ErrInternal, err))
+		return false
+	}
+	if err := httpx.Decode(w, r, s.cfg.maxBodyBytes, v); err != nil {
+		s.writeError(w, fmt.Errorf("provesvc: bad request body: %w", err))
+		return false
+	}
+	return true
+}
+
+// retired answers a batch body that still carries the retired
+// "requests" key; true means the answer has been served.
+func (s *Service) retired(w http.ResponseWriter, requests json.RawMessage) bool {
+	env := httpx.Retired(requests, "provesvc")
+	if env != nil {
+		s.writeEnvelope(w, http.StatusBadRequest, env)
+	}
+	return env != nil
 }
 
 // retryAfter derives the Retry-After hint for a shed code: circuit_open
@@ -364,14 +307,8 @@ func (s *Service) toReply(res *ProveResult) (*proveReply, error) {
 }
 
 func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
-	if err := faultinject.Point(r.Context(), faultinject.PointHTTPProve); err != nil {
-		s.writeError(w, fmt.Errorf("%w: %v", ErrInternal, err))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
 	var body proveBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeError(w, fmt.Errorf("provesvc: bad request body: %w", err))
+	if !s.decode(w, r, faultinject.PointHTTPProve, &body) {
 		return
 	}
 	req, err := s.toRequest(body)
@@ -389,37 +326,17 @@ func (s *Service) handleProve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reply)
+	httpx.WriteJSON(w, http.StatusOK, reply)
 }
 
 func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
-	if err := faultinject.Point(r.Context(), faultinject.PointHTTPProve); err != nil {
-		s.writeError(w, fmt.Errorf("%w: %v", ErrInternal, err))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
 	var body batchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeError(w, fmt.Errorf("provesvc: bad request body: %w", err))
+	if !s.decode(w, r, faultinject.PointHTTPProve, &body) || s.retired(w, body.Requests) {
 		return
 	}
-	// The "requests" alias was deprecated for one release (PR 7) and is
-	// now retired: any body carrying the key — even alongside "items" —
-	// is rejected so stale clients fail loudly instead of silently
-	// losing whichever spelling lost the merge.
-	if body.Requests != nil {
-		s.recordErrorCode("invalid_request")
-		writeJSON(w, http.StatusBadRequest, &errEnvelope{
-			Code:      "invalid_request",
-			Message:   `provesvc: the deprecated "requests" batch field was removed; send {"items":[…]}`,
-			Retryable: false,
-		})
-		return
-	}
-	list := body.Items
-	reqs := make([]ProveRequest, len(list))
-	parseErrs := make([]error, len(list))
-	for i, b := range list {
+	reqs := make([]ProveRequest, len(body.Items))
+	parseErrs := make([]error, len(body.Items))
+	for i, b := range body.Items {
 		reqs[i], parseErrs[i] = s.toRequest(b)
 	}
 	results, errs := s.ProveBatch(r.Context(), reqs)
@@ -438,7 +355,7 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 			s.recordErrorCode(items[i].Error.Code)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": items})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"results": items})
 }
 
 // handleVerifyBatch is POST /v1/verify/batch: the unified batch shape
@@ -446,14 +363,8 @@ func (s *Service) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 // check. Per-item failures (undecodable proof, unknown backend) ride in
 // the item's error envelope; the batch itself always answers 200.
 func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	if err := faultinject.Point(r.Context(), faultinject.PointHTTPVerify); err != nil {
-		s.writeError(w, fmt.Errorf("%w: %v", ErrInternal, err))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
 	var body verifyBatchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeError(w, fmt.Errorf("provesvc: bad request body: %w", err))
+	if !s.decode(w, r, faultinject.PointHTTPVerify, &body) || s.retired(w, body.Requests) {
 		return
 	}
 	reqs := make([]VerifyRequest, len(body.Items))
@@ -477,18 +388,12 @@ func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		valid := oks[i]
 		items[i].Valid = &valid
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": items})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"results": items})
 }
 
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
-	if err := faultinject.Point(r.Context(), faultinject.PointHTTPVerify); err != nil {
-		s.writeError(w, fmt.Errorf("%w: %v", ErrInternal, err))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
 	var body verifyBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeError(w, fmt.Errorf("provesvc: bad request body: %w", err))
+	if !s.decode(w, r, faultinject.PointHTTPVerify, &body) {
 		return
 	}
 	req, err := s.toVerifyRequest(body)
@@ -501,25 +406,11 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"valid": valid})
+	httpx.WriteJSON(w, http.StatusOK, map[string]bool{"valid": valid})
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.tel.Registry()
-	if reg == nil {
-		writeJSON(w, http.StatusNotFound, &errEnvelope{
-			Code:      "telemetry_disabled",
-			Message:   "provesvc: telemetry is disabled on this service",
-			Retryable: false,
-		})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WriteText(w)
+	httpx.WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -527,8 +418,8 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.RUnlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		httpx.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -6,11 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"zkperf/internal/backend"
 	"zkperf/internal/ff"
+	"zkperf/internal/httpx"
 	"zkperf/internal/jobs"
 	"zkperf/internal/telemetry"
 )
@@ -44,13 +44,13 @@ type jobBody struct {
 
 // jobReply is the wire form of one job's status.
 type jobReply struct {
-	ID     string       `json:"id"`
-	Kind   string       `json:"kind"`
-	State  string       `json:"state"`
-	WaitMs float64      `json:"wait_ms"`
-	RunMs  float64      `json:"run_ms"`
-	Result any          `json:"result,omitempty"`
-	Error  *errEnvelope `json:"error,omitempty"`
+	ID     string          `json:"id"`
+	Kind   string          `json:"kind"`
+	State  string          `json:"state"`
+	WaitMs float64         `json:"wait_ms"`
+	RunMs  float64         `json:"run_ms"`
+	Result any             `json:"result,omitempty"`
+	Error  *httpx.Envelope `json:"error,omitempty"`
 	// Deduped marks a submit answered with an existing job because its
 	// Idempotency-Key was already taken (served 200, not 202).
 	Deduped bool `json:"deduped,omitempty"`
@@ -83,7 +83,7 @@ func jobReplyOf(j *jobs.Job) *jobReply {
 type jobBatchItem struct {
 	Index int `json:"index"`
 	*jobReply
-	Error *errEnvelope `json:"error,omitempty"`
+	Error *httpx.Envelope `json:"error,omitempty"`
 }
 
 // buildJobRun converts one job body into (kind, RunFunc); shared by the
@@ -138,8 +138,7 @@ func (s *Service) buildJobRun(body jobBody, reqID string) (string, jobs.RunFunc,
 }
 
 func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
-	data, err := io.ReadAll(r.Body)
+	data, err := httpx.ReadAll(w, r, s.cfg.maxBodyBytes)
 	if err != nil {
 		s.writeError(w, fmt.Errorf("provesvc: bad request body: %w", err))
 		return
@@ -179,7 +178,7 @@ func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 			out[i].jobReply = jobReplyOf(j)
 		}
-		writeJSON(w, http.StatusAccepted, map[string]any{"results": out})
+		httpx.WriteJSON(w, http.StatusAccepted, map[string]any{"results": out})
 		return
 	}
 
@@ -207,7 +206,7 @@ func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if deduped {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, rep)
+	httpx.WriteJSON(w, status, rep)
 }
 
 // maxIdempotencyKey bounds the Idempotency-Key header; longer keys are
@@ -253,7 +252,7 @@ func (s *Service) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		// Pace pollers: the job is still live, come back in about a second.
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, http.StatusOK, rep)
+	httpx.WriteJSON(w, http.StatusOK, rep)
 }
 
 func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -262,7 +261,7 @@ func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobReplyOf(j))
+	httpx.WriteJSON(w, http.StatusOK, jobReplyOf(j))
 }
 
 // toVerifyRequest parses the wire verify body into a VerifyRequest,

@@ -390,7 +390,10 @@ func New(opts ...Option) *Service {
 	for _, name := range s.reg.Backends() {
 		s.met.perBackend[name] = &backendMetrics{}
 	}
+	s.met.vbLat = &telemetry.HistogramMetric{}
 	if reg := s.tel.Registry(); reg != nil {
+		s.met.vbLat = reg.Histogram("zkp_verify_batch_duration_seconds",
+			"Wall time of one folded verify batch.")
 		reg.GaugeFunc("zkp_queue_depth", "Jobs queued but not yet started.",
 			func() float64 { return float64(len(s.jobs)) })
 		reg.GaugeFunc("zkp_queue_capacity", "Job queue capacity.",
@@ -443,12 +446,6 @@ func New(opts ...Option) *Service {
 			func() float64 { return float64(s.met.vbProofs.Load()) })
 		reg.GaugeFunc("zkp_verify_coalesced_total", "Single verifies opportunistically folded into shared batches.",
 			func() float64 { return float64(s.met.vbCoalesced.Load()) })
-		reg.GaugeFunc("zkp_verify_batch_size", "Verify batch size distribution.",
-			func() float64 { return float64(s.met.vbSize.quantile(0.50)) },
-			telemetry.Label{Name: "quantile", Value: "p50"})
-		reg.GaugeFunc("zkp_verify_batch_size", "Verify batch size distribution.",
-			func() float64 { return float64(s.met.vbSize.quantile(0.95)) },
-			telemetry.Label{Name: "quantile", Value: "p95"})
 		reg.GaugeFunc("zkp_sched_enabled", "1 when workload-aware scheduling is on.",
 			func() float64 {
 				if s.sched.cfg.Enabled {
@@ -470,12 +467,13 @@ func New(opts ...Option) *Service {
 			func() float64 { return s.sched.drain.rate(s.sched.now(), s.sched.cfg.HalfLife) })
 		reg.GaugeFunc("zkp_sched_hot_queue_depth", "Jobs queued across hot-circuit queues.",
 			func() float64 { return float64(s.sched.queuedTotal() - len(s.jobs)) })
-		reg.GaugeFunc("zkp_sched_thread_grant", "Per-job kernel thread grant distribution.",
-			func() float64 { return float64(s.sched.grantHist.quantile(0.50)) },
-			telemetry.Label{Name: "quantile", Value: "p50"})
-		reg.GaugeFunc("zkp_sched_thread_grant", "Per-job kernel thread grant distribution.",
-			func() float64 { return float64(s.sched.grantHist.quantile(0.95)) },
-			telemetry.Label{Name: "quantile", Value: "p95"})
+		for _, q := range []float64{0.50, 0.95} {
+			ql := telemetry.Label{Name: "quantile", Value: fmt.Sprintf("p%.0f", q*100)}
+			reg.GaugeFunc("zkp_verify_batch_size", "Verify batch size distribution.",
+				func() float64 { return float64(countQuantile(&s.met.vbSize, q)) }, ql)
+			reg.GaugeFunc("zkp_sched_thread_grant", "Per-job kernel thread grant distribution.",
+				func() float64 { return float64(countQuantile(&s.sched.grantHist, q)) }, ql)
+		}
 	}
 	return s
 }
@@ -918,7 +916,7 @@ func (s *Service) Stats() Snapshot {
 			Depth:    len(s.jobs),
 			Capacity: cap(s.jobs),
 			InFlight: int(s.met.inFlight.Load()),
-			Wait:     s.met.queueWait.summary(),
+			Wait:     stageSummary(&s.met.queueWait),
 		},
 		Cache: CacheStats{
 			Hits:    hits,
@@ -931,8 +929,8 @@ func (s *Service) Stats() Snapshot {
 			Batches:   s.met.vbBatches.Load(),
 			Proofs:    s.met.vbProofs.Load(),
 			Coalesced: s.met.vbCoalesced.Load(),
-			Size:      s.met.vbSize.summary(),
-			Latency:   s.met.vbLat.summary(),
+			Size:      sizeSummary(&s.met.vbSize),
+			Latency:   stageSummary(s.met.vbLat),
 		},
 		Breaker:   s.breaker.stats(),
 		Artifacts: s.reg.ArtifactStats(),

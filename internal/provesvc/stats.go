@@ -1,45 +1,19 @@
 package provesvc
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"zkperf/internal/jobs"
+	"zkperf/internal/telemetry"
 )
-
-// histBuckets bounds the log₂ latency histogram: bucket 40 covers ~18
-// minutes in microseconds, far beyond any sane job deadline.
-const histBuckets = 41
-
-// histogram is a lock-free log₂-bucketed latency histogram. Sample d
-// lands in bucket bits.Len64(d in µs), so bucket i covers [2^{i−1}, 2^i)
-// microseconds. Quantiles are read from a snapshot and reported as the
-// bucket's upper bound — a ≤2× overestimate, which is the right bias for
-// a serving SLO readout.
-type histogram struct {
-	count   atomic.Uint64
-	sumNs   atomic.Int64
-	buckets [histBuckets]atomic.Uint64
-}
-
-func (h *histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	i := bits.Len64(uint64(d / time.Microsecond))
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-}
 
 // StageSummary is the JSON digest of one latency histogram — the
 // {count, p50_ms, p95_ms, p99_ms} leaf of the documented /v1/stats
-// schema (mean_ms rides along for capacity math).
+// schema (mean_ms rides along for capacity math). Quantiles are bucket
+// upper bounds (telemetry.HistogramMetric): a ≤2× overestimate, which
+// is the right bias for a serving SLO readout.
 type StageSummary struct {
 	Count  uint64  `json:"count"`
 	MeanMs float64 `json:"mean_ms"`
@@ -48,87 +22,18 @@ type StageSummary struct {
 	P99Ms  float64 `json:"p99_ms"`
 }
 
-func (h *histogram) summary() StageSummary {
-	var counts [histBuckets]uint64
-	var total uint64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
+func stageSummary(h *telemetry.HistogramMetric) StageSummary {
+	n := h.Count()
+	if n == 0 {
+		return StageSummary{}
 	}
-	s := StageSummary{Count: total}
-	if total == 0 {
-		return s
-	}
-	s.MeanMs = float64(h.sumNs.Load()) / float64(total) / 1e6
-	quantile := func(p float64) float64 {
-		target := uint64(p * float64(total))
-		if target < 1 {
-			target = 1
-		}
-		var cum uint64
-		for i, c := range counts {
-			cum += c
-			if cum >= target {
-				// Upper bound of bucket i in ms: 2^i µs.
-				return float64(uint64(1)<<uint(i)) / 1e3
-			}
-		}
-		return float64(uint64(1)<<uint(histBuckets-1)) / 1e3
-	}
-	s.P50Ms = quantile(0.50)
-	s.P95Ms = quantile(0.95)
-	s.P99Ms = quantile(0.99)
-	return s
+	ms := func(q float64) float64 { return float64(h.Quantile(q)) / 1e6 }
+	return StageSummary{Count: n, MeanMs: float64(h.Sum()) / float64(n) / 1e6,
+		P50Ms: ms(0.50), P95Ms: ms(0.95), P99Ms: ms(0.99)}
 }
 
-// sizeHistogram is the count analogue of histogram: lock-free log₂
-// buckets over small integers (verify batch sizes). Bucket i covers
-// [2^{i−1}, 2^i); quantiles report the bucket's upper bound.
-type sizeHistogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	buckets [17]atomic.Uint64 // bucket 16 covers sizes ≥ 32768
-}
-
-func (h *sizeHistogram) Observe(n int) {
-	if n < 0 {
-		n = 0
-	}
-	i := bits.Len64(uint64(n))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(uint64(n))
-}
-
-// quantile returns the p-quantile as a bucket upper bound (0 when empty).
-func (h *sizeHistogram) quantile(p float64) uint64 {
-	var counts [17]uint64
-	var total uint64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	target := uint64(p * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= target {
-			return uint64(1) << uint(i)
-		}
-	}
-	return uint64(1) << uint(len(counts)-1)
-}
-
-// SizeSummary is the JSON digest of a sizeHistogram.
+// SizeSummary is the JSON digest of a histogram of counts
+// (HistogramMetric.ObserveCount): verify batch sizes, thread grants.
 type SizeSummary struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -136,15 +41,18 @@ type SizeSummary struct {
 	P95   uint64  `json:"p95"`
 }
 
-func (h *sizeHistogram) summary() SizeSummary {
-	s := SizeSummary{Count: h.count.Load()}
-	if s.Count == 0 {
-		return s
+func sizeSummary(h *telemetry.HistogramMetric) SizeSummary {
+	n := h.Count()
+	if n == 0 {
+		return SizeSummary{}
 	}
-	s.Mean = float64(h.sum.Load()) / float64(s.Count)
-	s.P50 = h.quantile(0.50)
-	s.P95 = h.quantile(0.95)
-	return s
+	return SizeSummary{Count: n, Mean: float64(h.Sum()/time.Microsecond) / float64(n),
+		P50: countQuantile(h, 0.50), P95: countQuantile(h, 0.95)}
+}
+
+// countQuantile reads a quantile of a histogram of counts.
+func countQuantile(h *telemetry.HistogramMetric, q float64) uint64 {
+	return uint64(h.Quantile(q) / time.Microsecond)
 }
 
 // backendMetrics is the per-backend slice of the service metrics, so
@@ -158,10 +66,10 @@ type backendMetrics struct {
 	cancelled  atomic.Uint64 // cancellation / deadline during execution
 	panics     atomic.Uint64 // prove panics recovered on a worker
 	timeouts   atomic.Uint64 // deadline expiries (also counted in cancelled)
-	witnessLat histogram
-	proveLat   histogram
-	totalLat   histogram
-	verifyLat  histogram
+	witnessLat telemetry.HistogramMetric
+	proveLat   telemetry.HistogramMetric
+	totalLat   telemetry.HistogramMetric
+	verifyLat  telemetry.HistogramMetric
 }
 
 // metrics holds the service's atomic counters and per-stage histograms.
@@ -180,15 +88,17 @@ type metrics struct {
 	timeouts  atomic.Uint64 // deadline expiries (also counted in canceled)
 	inFlight  atomic.Int64  // jobs currently executing on a worker
 
-	queueWait histogram // enqueue → worker pickup
+	queueWait telemetry.HistogramMetric // enqueue → worker pickup
 
 	// Folded-verify accounting: one "batch" per same-circuit group that
 	// went through a folded check (VerifyBatch or the coalescer).
 	vbBatches   atomic.Uint64
 	vbProofs    atomic.Uint64
-	vbCoalesced atomic.Uint64 // single verifies that shared a fold
-	vbSize      sizeHistogram
-	vbLat       histogram // wall time per folded batch
+	vbCoalesced atomic.Uint64             // single verifies that shared a fold
+	vbSize      telemetry.HistogramMetric // counts: proofs per folded batch
+	// vbLat is the wall time per folded batch; with telemetry on it is the
+	// registry's zkp_verify_batch_duration_seconds, so it is observed once.
+	vbLat *telemetry.HistogramMetric
 
 	perBackend map[string]*backendMetrics
 
@@ -281,10 +191,10 @@ func (b *backendMetrics) snapshot() BackendSnapshot {
 		Panics:    b.panics.Load(),
 		Timeouts:  b.timeouts.Load(),
 		Stages: map[string]StageSummary{
-			"witness": b.witnessLat.summary(),
-			"prove":   b.proveLat.summary(),
-			"total":   b.totalLat.summary(),
-			"verify":  b.verifyLat.summary(),
+			"witness": stageSummary(&b.witnessLat),
+			"prove":   stageSummary(&b.proveLat),
+			"total":   stageSummary(&b.totalLat),
+			"verify":  stageSummary(&b.verifyLat),
 		},
 	}
 }

@@ -102,7 +102,7 @@ func (s *Service) verifyGroup(ctx context.Context, reqs []VerifyRequest, idxs []
 	n := len(idxs)
 	s.met.vbBatches.Add(1)
 	s.met.vbProofs.Add(uint64(n))
-	s.met.vbSize.Observe(n)
+	s.met.vbSize.ObserveCount(n)
 	s.met.vbLat.Observe(d)
 	bm := s.met.forBackend(req0.Backend)
 	for k, i := range idxs {
@@ -124,8 +124,4 @@ func (s *Service) verifyGroup(ctx context.Context, reqs []VerifyRequest, idxs []
 	}
 	s.tel.ObserveStage(req0.Backend, req0.Curve, telemetry.StageVerify, d)
 	s.tel.ObserveProbe(req0.Backend, req0.Curve, probe)
-	if reg := s.tel.Registry(); reg != nil {
-		reg.Histogram("zkp_verify_batch_duration_seconds",
-			"Wall time of one folded verify batch.").Observe(d)
-	}
 }

@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"zkperf/internal/telemetry"
 )
 
 // WorkloadConfig tunes the workload-aware scheduler (WithWorkloadSched).
@@ -217,7 +219,7 @@ type scheduler struct {
 
 	arrivals   rateMap
 	drain      rateCounter
-	grantHist  sizeHistogram
+	grantHist  telemetry.HistogramMetric // counts: threads per grant
 	promotions atomic.Uint64
 	demotions  atomic.Uint64
 
@@ -345,7 +347,7 @@ func (sc *scheduler) grantThreads() int {
 	if g < 1 {
 		g = 1
 	}
-	sc.grantHist.Observe(g)
+	sc.grantHist.ObserveCount(g)
 	return g
 }
 
@@ -579,7 +581,7 @@ func (sc *scheduler) stats() SchedStats {
 		Promotions:      sc.promotions.Load(),
 		Demotions:       sc.demotions.Load(),
 		DrainRatePerSec: sc.drain.rate(now, sc.cfg.HalfLife),
-		ThreadGrant:     sc.grantHist.summary(),
+		ThreadGrant:     sizeSummary(&sc.grantHist),
 	}
 	reservedFor := make(map[*hotQueue]int)
 	for _, hq := range plan.hotByWorker {

@@ -136,15 +136,18 @@ func (g *GaugeMetric) Add(delta float64) {
 // Value returns the current value.
 func (g *GaugeMetric) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// histBuckets is the number of log2 duration buckets: bucket i holds
-// observations with ceil(log2(µs)) == i, i.e. upper bound 2^i µs.
-// 2^40 µs ≈ 13 days, comfortably past any request timeout.
+// histBuckets is the number of log2 buckets; the last one also takes
+// everything at or past 2^39 µs (≈6.4 days), comfortably past any
+// request timeout.
 const histBuckets = 41
 
-// HistogramMetric is a lock-free log2-bucketed latency histogram. An
-// observation of d lands in bucket bits.Len64(d in µs): sub-µs in
-// bucket 0, (2^(i-1), 2^i] µs in bucket i. The exposition converts
-// bucket bounds to seconds per Prometheus convention.
+// HistogramMetric is a lock-free log2-bucketed histogram — the one the
+// whole serving stack uses, for /v1/stats as for /v1/metrics. An
+// observation of d lands in bucket bits.Len64(whole µs of d): bucket 0
+// holds [0, 1) µs and bucket i ≥ 1 holds [2^(i-1), 2^i) µs, so 2^i µs
+// is bucket i's exclusive upper bound — the value quantiles report and
+// the exposition's le label (converted to seconds per Prometheus
+// convention). ObserveCount puts counts on the same buckets.
 type HistogramMetric struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -166,12 +169,23 @@ func (h *HistogramMetric) Observe(d time.Duration) {
 	h.sumNs.Add(uint64(d))
 }
 
+// ObserveCount records a count — a batch size, a thread grant — as if
+// it were n µs, so bucket i holds counts in [2^(i-1), 2^i) and
+// Quantile(q)/time.Microsecond and Sum()/time.Microsecond read counts
+// back.
+func (h *HistogramMetric) ObserveCount(n int) {
+	h.Observe(time.Duration(n) * time.Microsecond)
+}
+
 // Count returns the number of observations.
 func (h *HistogramMetric) Count() uint64 { return h.count.Load() }
 
-// Quantile returns the q-quantile (0 < q <= 1) as the upper bound of the
-// bucket containing it — the same log2 resolution the trace package's
-// summaries use. Returns 0 with no observations.
+// Sum returns the total of all observations.
+func (h *HistogramMetric) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
+
+// Quantile returns the q-quantile (0 < q <= 1) by nearest rank — the
+// ceil(q·n)-th smallest observation — reported as the upper bound of the
+// bucket holding it. Returns 0 with no observations.
 func (h *HistogramMetric) Quantile(q float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {
@@ -189,15 +203,6 @@ func (h *HistogramMetric) Quantile(q float64) time.Duration {
 		}
 	}
 	return time.Duration(uint64(1)<<uint(histBuckets-1)) * time.Microsecond
-}
-
-// Mean returns the average observed duration (0 with no observations).
-func (h *HistogramMetric) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sumNs.Load() / n)
 }
 
 // WriteText renders the registry in the Prometheus text exposition

@@ -167,7 +167,7 @@ func TestRegistryHistogram(t *testing.T) {
 	if q := h.Quantile(0.99); q != 128*time.Microsecond {
 		t.Errorf("p99 = %v, want 128µs", q)
 	}
-	if m := h.Mean(); m < 60*time.Microsecond || m > 80*time.Microsecond {
+	if m := h.Sum() / time.Duration(h.Count()); m < 60*time.Microsecond || m > 80*time.Microsecond {
 		t.Errorf("mean = %v, want ~67µs", m)
 	}
 
@@ -186,6 +186,40 @@ func TestRegistryHistogram(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestHistogramBucketsAndCounts pins the documented bucketing (bucket i
+// holds [2^(i-1), 2^i) whole µs), the nearest-rank quantile rule and the
+// count form.
+func TestHistogramBucketsAndCounts(t *testing.T) {
+	for _, c := range []struct{ d, bound time.Duration }{
+		{999 * time.Nanosecond, time.Microsecond},
+		{time.Microsecond, 2 * time.Microsecond},
+		{7 * time.Microsecond, 8 * time.Microsecond},
+		{8 * time.Microsecond, 16 * time.Microsecond},
+	} {
+		var h HistogramMetric
+		h.Observe(c.d)
+		if got := h.Quantile(1); got != c.bound {
+			t.Errorf("%v lands under bound %v, want %v", c.d, got, c.bound)
+		}
+	}
+
+	var h HistogramMetric
+	for _, n := range []int{1, 8, 8} {
+		h.ObserveCount(n)
+	}
+	// Nearest rank: p50 of three is the ceil(1.5) = 2nd smallest, 8,
+	// whose bucket bound is 16.
+	if got := h.Quantile(0.5) / time.Microsecond; got != 16 {
+		t.Errorf("count p50 = %d, want 16", got)
+	}
+	if got := h.Quantile(0.1) / time.Microsecond; got != 2 {
+		t.Errorf("count p10 = %d, want 2", got)
+	}
+	if got := h.Sum() / time.Microsecond; got != 17 || h.Count() != 3 {
+		t.Errorf("count sum = %d over %d, want 17 over 3", got, h.Count())
 	}
 }
 

@@ -9,7 +9,9 @@
 #      never duplicate a trusted setup onto the other node (per-node
 #      setup counters stop growing);
 #   3. killing one node fails its shard over to the survivor and the
-#      cluster keeps serving.
+#      cluster keeps serving;
+#   4. the request ID the gateway logged for a job submit is the one the
+#      owning node logged — the ID crosses the hop.
 #
 # Ports are loopback-only and offbeat (1809x) to avoid colliding with a
 # developer's running zkserve.
@@ -86,6 +88,13 @@ case "$ID1" in
     *@a|*@b) ;;
     *) echo "e2e: FAIL job id $ID1 lacks the @node suffix"; exit 1 ;;
 esac
+echo "e2e: one request ID in the gateway's and the node's access logs"
+RID=$(grep 'method=POST path=/v1/jobs status=202 ' "$BASE/gateway.log" | head -n 1 \
+    | grep -o 'request_id=[^ ]*$' || true)
+[ -n "$RID" ] || { echo "e2e: FAIL no /v1/jobs submit in the gateway access log"; exit 1; }
+grep -q "method=POST path=/v1/jobs status=202 .*$RID\$" "$BASE/node-a.log" "$BASE/node-b.log" || {
+    echo "e2e: FAIL $RID from the gateway log is in no node's access log"; exit 1
+}
 SETUPS1=$(setups_total)
 [ "$SETUPS1" -eq 2 ] || { echo "e2e: FAIL expected 2 setups after 2 circuits, got $SETUPS1"; exit 1; }
 
