@@ -16,6 +16,10 @@ test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 go test -race ./...
+# The allocation gates (bytes and allocations per GLV MSM and per 2^14
+# prove) count what the heap hands out, which the race detector inflates,
+# so they are built without it and skipped by the -race run above.
+go test -count=1 -run 'Alloc' ./internal/curve/ ./internal/groth16/
 go test -run '^$' -bench '^BenchmarkBackends$' -benchtime=1x .
 go test -run '^$' -bench '^BenchmarkTelemetryOverhead$' -benchtime=1x .
 # Kernel smoke: the 2^10 slice of the NTT/MSM/fixed-base tracking

@@ -140,24 +140,54 @@ func (c *Curve) NewG2Table(base *G2Affine) *G2Table {
 	return &G2Table{c: c, tab: &FixedBaseTable[tower.E2]{ops: c.g2ops, data: data}}
 }
 
+// fixedBaseBlock is the number of results a MulBatch worker holds in
+// Jacobian form before batch-normalizing them into the output: it bounds
+// the worker's scratch at one block whatever the batch size.
+const fixedBaseBlock = 1024
+
 // Mul sets z = [k]·Base for a scalar-field element k.
 func (t *G1Table) Mul(z *G1Jac, k *ff.Element) {
-	limbs := frToLimbs(t.c.Fr, []ff.Element{*k})
+	var limbs scalarLimbs
+	t.c.Fr.CanonicalLimbs(k, limbs[:])
 	var tp jacTemps[ff.Element]
 	var qn G1Affine
-	t.tab.mul(z, limbs[0], &tp, &qn)
+	t.tab.mul(z, limbs[:t.c.Fr.NumLimbs()], &tp, &qn)
 }
 
 // Mul sets z = [k]·Base for a scalar-field element k.
 func (t *G2Table) Mul(z *G2Jac, k *ff.Element) {
-	limbs := frToLimbs(t.c.Fr, []ff.Element{*k})
+	var limbs scalarLimbs
+	t.c.Fr.CanonicalLimbs(k, limbs[:])
 	var tp jacTemps[tower.E2]
 	var qn G2Affine
-	t.tab.mul(z, limbs[0], &tp, &qn)
+	t.tab.mul(z, limbs[:t.c.Fr.NumLimbs()], &tp, &qn)
+}
+
+// mulBatch computes out[i] = [scalars[i]]·Base in parallel worker chunks.
+// Each chunk runs in blocks of fixedBaseBlock through one Jacobian buffer
+// and one limb buffer of its own, so scratch stays O(threads·block)
+// rather than O(n). Affine outputs are canonical, so the blocking cannot
+// change a result.
+func (t *FixedBaseTable[E]) mulBatch(ctx context.Context, fr *ff.Field, out []Affine[E], scalars []ff.Element, threads int) error {
+	nl := fr.NumLimbs()
+	return parallel.ChunksCtx(ctx, len(scalars), threads, func(lo, hi int) {
+		jacs := make([]Jac[E], min(fixedBaseBlock, hi-lo))
+		var tp jacTemps[E]
+		var qn Affine[E]
+		var limbs scalarLimbs
+		for b := lo; b < hi; b += fixedBaseBlock {
+			e := min(b+fixedBaseBlock, hi)
+			for i := b; i < e; i++ {
+				fr.CanonicalLimbs(&scalars[i], limbs[:])
+				t.mul(&jacs[i-b], limbs[:nl], &tp, &qn)
+			}
+			batchToAffine(t.ops, out[b:e], jacs[:e-b])
+		}
+	})
 }
 
 // MulBatch computes [kᵢ]·Base for every scalar, in parallel worker chunks,
-// returning affine results (batch-normalized per chunk).
+// returning affine results.
 func (t *G1Table) MulBatch(scalars []ff.Element, threads int) []G1Affine {
 	out, _ := t.MulBatchCtx(context.Background(), scalars, threads)
 	return out
@@ -170,16 +200,7 @@ func (t *G1Table) MulBatchCtx(ctx context.Context, scalars []ff.Element, threads
 	probe := telemetry.ProbeFromContext(ctx)
 	t0 := probe.Begin()
 	out := make([]G1Affine, len(scalars))
-	limbs := frToLimbs(t.c.Fr, scalars)
-	err := parallel.ChunksCtx(ctx, len(scalars), threads, func(lo, hi int) {
-		jacs := make([]G1Jac, hi-lo)
-		var tp jacTemps[ff.Element]
-		var qn G1Affine
-		for i := lo; i < hi; i++ {
-			t.tab.mul(&jacs[i-lo], limbs[i], &tp, &qn)
-		}
-		batchToAffine[ff.Element](t.c.g1ops, out[lo:hi], jacs)
-	})
+	err := t.tab.mulBatch(ctx, t.c.Fr, out, scalars, threads)
 	probe.Observe(telemetry.KernelMSMG1, t0, len(scalars))
 	return out, err
 }
@@ -195,16 +216,7 @@ func (t *G2Table) MulBatchCtx(ctx context.Context, scalars []ff.Element, threads
 	probe := telemetry.ProbeFromContext(ctx)
 	t0 := probe.Begin()
 	out := make([]G2Affine, len(scalars))
-	limbs := frToLimbs(t.c.Fr, scalars)
-	err := parallel.ChunksCtx(ctx, len(scalars), threads, func(lo, hi int) {
-		jacs := make([]G2Jac, hi-lo)
-		var tp jacTemps[tower.E2]
-		var qn G2Affine
-		for i := lo; i < hi; i++ {
-			t.tab.mul(&jacs[i-lo], limbs[i], &tp, &qn)
-		}
-		batchToAffine[tower.E2](t.c.g2ops, out[lo:hi], jacs)
-	})
+	err := t.tab.mulBatch(ctx, t.c.Fr, out, scalars, threads)
 	probe.Observe(telemetry.KernelMSMG2, t0, len(scalars))
 	return out, err
 }

@@ -3,9 +3,11 @@ package curve
 import (
 	"context"
 	"math/big"
+	"math/bits"
 
 	"zkperf/internal/ff"
 	"zkperf/internal/parallel"
+	"zkperf/internal/tower"
 )
 
 // GLV endomorphism scalar decomposition. Both BN254 and BLS12-381 have
@@ -14,8 +16,9 @@ import (
 // of the curve. On the order-r subgroup it acts as multiplication by an
 // eigenvalue λ with λ² + λ + 1 ≡ 0 (mod r). Decomposing a scalar k into
 // k = k1 + λ·k2 with |k1|, |k2| ≈ √r (lattice reduction, precomputed
-// basis) lets the MSM run over 2n points at half the bit-length — fewer
-// windows over the same bucket machinery. The same construction covers G2:
+// basis) lets the MSM run over 2n entries (P and φ(P), the latter never
+// materialised: see glvMSM) at half the bit-length — fewer windows over the
+// same bucket machinery. The same construction covers G2:
 // β lies in Fp ⊂ Fp2, the automorphism commutes with Frobenius and so
 // preserves the G2 eigenspace, acting there as λ or λ² (= −1−λ); the
 // constructor picks whichever power of β gives the same λ on both groups
@@ -34,6 +37,14 @@ type glvData struct {
 
 	r    *big.Int
 	bits int // bound on subscalar bit length (drives the MSM window count)
+
+	// Fixed-width Babai rounding (babaiConstants): gᵢ ≈ |bᵢ'|·2^(64·(nl+1))/r
+	// with signs, and the basis in nl-limb two's complement.
+	nl           int
+	g1, g2       scalarLimbs
+	g1Neg, g2Neg bool
+	a1w, b1w     scalarLimbs
+	a2w, b2w     scalarLimbs
 }
 
 // cubeRootOfUnity finds a primitive cube root of unity mod m (m ≡ 1 mod 3)
@@ -171,6 +182,7 @@ func (c *Curve) glvInit() {
 		}
 	}
 	g.bits = maxBits + 2
+	g.babaiConstants(c.Fr.NumLimbs())
 	c.glv = g
 }
 
@@ -213,118 +225,224 @@ func (c *Curve) GLVBits() int { return c.GLV().bits }
 // G1Phi applies the G1 endomorphism: z = φ(p) = (β·x, y) = [λ]p.
 func (c *Curve) G1Phi(z, p *G1Affine) {
 	z.Inf = p.Inf
-	c.Fp.Mul(&z.X, &p.X, &c.GLV().beta1)
+	c.g1PhiX(&z.X, &p.X)
 	c.Fp.Set(&z.Y, &p.Y)
 }
 
 // G2Phi applies the G2 endomorphism: z = φ(p) = (β·x, y) = [λ]p.
 func (c *Curve) G2Phi(z, p *G2Affine) {
 	z.Inf = p.Inf
-	c.Tw.E2MulByElement(&z.X, &p.X, &c.GLV().beta2)
+	c.g2PhiX(&z.X, &p.X)
 	c.Tw.E2Set(&z.Y, &p.Y)
 }
 
-// glvScratch is per-worker big.Int scratch for the decomposition loop, so
-// the per-scalar cost is a handful of word-sliced multiplications with no
-// steady-state allocation.
-type glvScratch struct {
-	k, c1, c2, t1, t2 big.Int
+// g1PhiX sets z = β·x, the x-coordinate of φ on G1 (φ leaves y alone).
+func (c *Curve) g1PhiX(z, x *ff.Element) { c.Fp.Mul(z, x, &c.GLV().beta1) }
+
+// g2PhiX sets z = β·x, the x-coordinate of φ on G2.
+func (c *Curve) g2PhiX(z, x *tower.E2) { c.Tw.E2MulByElement(z, x, &c.GLV().beta2) }
+
+// scalarLimbs is one scalar as fixed-width little-endian limbs. The
+// decomposition below works modulo 2^(64·nl) (nl = Fr.NumLimbs()) in
+// two's complement: the subscalars are far below 2^(64·nl−1), so wrapping
+// intermediate products leave them exact.
+type scalarLimbs = [ff.MaxLimbs]uint64
+
+// babaiConstants fills the fixed-width Babai rounding constants:
+// gᵢ = ⌊|bᵢ'|·2^m / r⌉ with m = 64·(nl+1) and (b1', b2') = (b2, −b1), their
+// signs, and the basis in nl-limb two's complement. The extra limb over
+// the scalar width keeps k·gᵢ/2^m within 2^−65 of k·bᵢ'/r, so the rounding
+// picks the exact Babai coefficient except with negligible probability;
+// the bit bound holds even when it does not.
+func (g *glvData) babaiConstants(nl int) {
+	if nl+1 > ff.MaxLimbs {
+		panic("curve: GLV scalar field too wide for the fixed-width decomposition")
+	}
+	g.nl = nl
+	m := uint(64 * (nl + 1))
+	round := func(b *big.Int) (scalarLimbs, bool) {
+		// ⌊(2·|b|·2^m + r) / 2r⌋
+		t := new(big.Int).Abs(b)
+		t.Lsh(t, m+1)
+		t.Add(t, g.r)
+		t.Div(t, new(big.Int).Lsh(g.r, 1))
+		return bigToScalarLimbs(t, nl+1), b.Sign() < 0
+	}
+	g.g1, g.g1Neg = round(g.b2)
+	g.g2, g.g2Neg = round(new(big.Int).Neg(g.b1))
+	g.a1w = bigToScalarLimbs(g.a1, nl)
+	g.b1w = bigToScalarLimbs(g.b1, nl)
+	g.a2w = bigToScalarLimbs(g.a2, nl)
+	g.b2w = bigToScalarLimbs(g.b2, nl)
 }
 
-// Decompose splits canonical k ∈ [0, r) into (k1, sign1), (k2, sign2) with
-// k ≡ ±k1 + λ·(±k2) (mod r) and both magnitudes below 2^bits. The
-// magnitudes land in dst1/dst2 (little-endian limbs, zero-padded).
-func (g *glvData) decompose(k *big.Int, sc *glvScratch, dst1, dst2 []uint64) (neg1, neg2 bool) {
-	// Babai rounding: cᵢ = ⌊bᵢ'·k/r⌉ with (b1', b2') = (b2, −b1).
-	roundDiv := func(z, num *big.Int) {
-		// round(num/r) = ⌊(2·num + r) / (2r)⌋ for r > 0, any sign of num.
-		z.Lsh(num, 1)
-		z.Add(z, g.r)
-		z.Div(z, sc.t2.Lsh(g.r, 1))
+// bigToScalarLimbs reduces v modulo 2^(64·nl) (two's complement for
+// negative v) into little-endian limbs.
+func bigToScalarLimbs(v *big.Int, nl int) scalarLimbs {
+	t := new(big.Int).Lsh(big.NewInt(1), uint(64*nl))
+	t.Add(t, v)
+	mask := new(big.Int).SetUint64(^uint64(0))
+	var z scalarLimbs
+	for i := 0; i < nl; i++ {
+		z[i] = new(big.Int).And(t, mask).Uint64()
+		t.Rsh(t, 64)
 	}
-	sc.t1.Mul(g.b2, k)
-	roundDiv(&sc.c1, &sc.t1)
-	sc.t1.Mul(g.b1, k)
-	sc.t1.Neg(&sc.t1)
-	roundDiv(&sc.c2, &sc.t1)
-
-	// k1 = k − c1·a1 − c2·a2 ; k2 = −c1·b1 − c2·b2.
-	sc.k.Set(k)
-	sc.t1.Mul(&sc.c1, g.a1)
-	sc.k.Sub(&sc.k, &sc.t1)
-	sc.t1.Mul(&sc.c2, g.a2)
-	sc.k.Sub(&sc.k, &sc.t1)
-	neg1 = sc.k.Sign() < 0
-
-	sc.t1.Mul(&sc.c1, g.b1)
-	sc.t2.Mul(&sc.c2, g.b2)
-	sc.t1.Add(&sc.t1, &sc.t2)
-	sc.t1.Neg(&sc.t1)
-	neg2 = sc.t1.Sign() < 0
-
-	fillLimbs(dst1, &sc.k)
-	fillLimbs(dst2, &sc.t1)
-	if sc.k.BitLen() > g.bits || sc.t1.BitLen() > g.bits {
-		// Mathematically impossible for k < r with a reduced basis; a
-		// failure here means the precomputed constants are corrupt.
-		panic("curve: GLV subscalar exceeds bit bound")
-	}
-	return neg1, neg2
+	return z
 }
 
-// fillLimbs writes |v| into dst as little-endian limbs (zero-padded).
-func fillLimbs(dst []uint64, v *big.Int) {
-	words := v.Bits()
-	for i := range dst {
-		if i < len(words) {
-			dst[i] = uint64(words[i])
-		} else {
-			dst[i] = 0
+// mulHighRound returns ⌊(k·g + 2^(m−1)) / 2^m⌋ for an nl-limb k, an
+// (nl+1)-limb g and m = 64·(nl+1): the top nl limbs of the product,
+// rounded.
+func mulHighRound(k, g *scalarLimbs, nl int) scalarLimbs {
+	var t [2*ff.MaxLimbs + 1]uint64
+	for i := 0; i < nl; i++ {
+		var carry uint64
+		for j := 0; j <= nl; j++ {
+			hi, lo := bits.Mul64(k[i], g[j])
+			var c uint64
+			lo, c = bits.Add64(lo, t[i+j], 0)
+			hi += c
+			lo, c = bits.Add64(lo, carry, 0)
+			hi += c
+			t[i+j] = lo
+			carry = hi
+		}
+		t[i+nl+1] = carry
+	}
+	carry := uint64(1) << 63
+	for i := nl; i <= 2*nl && carry != 0; i++ {
+		t[i], carry = bits.Add64(t[i], carry, 0)
+	}
+	var z scalarLimbs
+	copy(z[:nl], t[nl+1:2*nl+1])
+	return z
+}
+
+// mulLow returns x·y mod 2^(64·nl).
+func mulLow(x, y *scalarLimbs, nl int) scalarLimbs {
+	var z scalarLimbs
+	for i := 0; i < nl; i++ {
+		var carry uint64
+		for j := 0; i+j < nl; j++ {
+			hi, lo := bits.Mul64(x[i], y[j])
+			var c uint64
+			lo, c = bits.Add64(lo, z[i+j], 0)
+			hi += c
+			lo, c = bits.Add64(lo, carry, 0)
+			hi += c
+			z[i+j] = lo
+			carry = hi
 		}
 	}
+	return z
 }
 
-// glvMinPoints gates the GLV path: below this size the decomposition
-// overhead and doubled point array outweigh the saved windows.
+// subLimbs returns x − y mod 2^(64·nl).
+func subLimbs(x, y *scalarLimbs, nl int) scalarLimbs {
+	var z scalarLimbs
+	var b uint64
+	for i := 0; i < nl; i++ {
+		z[i], b = bits.Sub64(x[i], y[i], b)
+	}
+	return z
+}
+
+// absLimbs returns |x| for x read as nl-limb two's complement, and
+// whether x was negative.
+func absLimbs(x *scalarLimbs, nl int) (scalarLimbs, bool) {
+	if x[nl-1]>>63 == 0 {
+		return *x, false
+	}
+	var zero scalarLimbs
+	return subLimbs(&zero, x, nl), true
+}
+
+// limbsBitLen is the bit length of an nl-limb magnitude.
+func limbsBitLen(x *scalarLimbs, nl int) int {
+	for i := nl - 1; i >= 0; i-- {
+		if x[i] != 0 {
+			return 64*i + bits.Len64(x[i])
+		}
+	}
+	return 0
+}
+
+// decompose splits canonical k ∈ [0, r) (nl little-endian limbs) into
+// magnitudes k1, k2 below 2^bits and their signs, with
+// k ≡ ±k1 + λ·(±k2) (mod r). Babai rounding cᵢ = ⌊k·bᵢ'/r⌉ is replaced by
+// a multiply-high against the precomputed gᵢ ≈ bᵢ'·2^m/r; even where that
+// misses the exact coefficient it is off by at most one, so
+// |k1| ≤ |a1| + |a2| and |k2| ≤ |b1| + |b2| — inside the two guard bits of
+// the bound. It allocates nothing.
+func (g *glvData) decompose(k *scalarLimbs) (k1, k2 scalarLimbs, neg1, neg2 bool) {
+	nl := g.nl
+	var zero scalarLimbs
+	c1 := mulHighRound(k, &g.g1, nl)
+	if g.g1Neg {
+		c1 = subLimbs(&zero, &c1, nl)
+	}
+	c2 := mulHighRound(k, &g.g2, nl)
+	if g.g2Neg {
+		c2 = subLimbs(&zero, &c2, nl)
+	}
+	// k1 = k − c1·a1 − c2·a2 ; k2 = −c1·b1 − c2·b2.
+	t := mulLow(&c1, &g.a1w, nl)
+	k1 = subLimbs(k, &t, nl)
+	t = mulLow(&c2, &g.a2w, nl)
+	k1 = subLimbs(&k1, &t, nl)
+	t = mulLow(&c1, &g.b1w, nl)
+	k2 = subLimbs(&zero, &t, nl)
+	t = mulLow(&c2, &g.b2w, nl)
+	k2 = subLimbs(&k2, &t, nl)
+
+	k1, neg1 = absLimbs(&k1, nl)
+	k2, neg2 = absLimbs(&k2, nl)
+	if limbsBitLen(&k1, nl) > g.bits || limbsBitLen(&k2, nl) > g.bits {
+		// Impossible for k < r with a reduced basis; a failure here means
+		// the precomputed constants are corrupt.
+		panic("curve: GLV subscalar exceeds bit bound")
+	}
+	return k1, k2, neg1, neg2
+}
+
+// glvMinPoints gates the GLV path: below this size the decomposition and
+// the φ-coordinate pass outweigh the saved windows.
 const glvMinPoints = 64
 
 // GLVMinPoints is the MSM size at and above which the endomorphism path
 // kicks in, exported so op-count and memory models can mirror the gate.
 const GLVMinPoints = glvMinPoints
 
-// glvExpand builds the doubled point/limb arrays for the endomorphism MSM:
-// entry i is ±Pᵢ (sign of k1ᵢ), entry n+i is ±φ(Pᵢ) (sign of k2ᵢ). The
-// decomposition is embarrassingly parallel and deterministic, so the split
-// cannot perturb the MSM result.
-func glvExpand[E any](ctx context.Context, ops Ops[E], g *glvData, phi func(z, p *Affine[E]), points []Affine[E], scalars []ff.Element, fr *ff.Field, threads int) ([]Affine[E], [][]uint64) {
-	if len(points) != len(scalars) {
+// glvMSM runs the Pippenger core over 2n virtual entries without copying
+// a point: entry 2i is points[i], entry 2i+1 is φ(points[i]), read as
+// (phiX[i], points[i].Y) because φ leaves y unchanged. phiX is the one
+// per-call array (β·x of every finite point); phiXOf computes it. Each
+// scalar goes straight from its decomposition into the int16 digit
+// matrix, with the subscalar's sign folded into its digits, so the window
+// loop reads one digit per entry and never negates a stored point. The
+// pass is embarrassingly parallel and deterministic, so the split cannot
+// perturb the MSM result.
+func glvMSM[E any](ctx context.Context, ops Ops[E], g *glvData, phiXOf func(z, x *E), fr *ff.Field, points []Affine[E], scalars []ff.Element, threads int) Jac[E] {
+	n := len(points)
+	if n != len(scalars) {
 		panic("curve: MSM points/scalars length mismatch")
 	}
-	n := len(points)
+	c := msmWindowSize(2 * n)
+	numWindows := (g.bits + c) / c
+	digits := make([]int16, numWindows*2*n)
+	phiX := make([]E, n)
 	nl := fr.NumLimbs()
-	pts2 := make([]Affine[E], 2*n)
-	limbs2 := make([][]uint64, 2*n)
-	backing := make([]uint64, 2*n*nl)
-	for i := 0; i < 2*n; i++ {
-		limbs2[i] = backing[i*nl : (i+1)*nl : (i+1)*nl]
-	}
 	_ = parallel.ChunksCtx(ctx, n, threads, func(lo, hi int) {
-		var sc glvScratch
-		var k big.Int
-		var y E // hoisted: an in-loop E escapes through ops.Neg, once per point
+		var k scalarLimbs
 		for i := lo; i < hi; i++ {
-			fr.BigIntInto(&k, &scalars[i])
-			neg1, neg2 := g.decompose(&k, &sc, limbs2[i], limbs2[n+i])
-			pts2[i] = points[i]
-			phi(&pts2[n+i], &points[i])
-			if neg1 && !pts2[i].Inf {
-				ops.Neg(&pts2[i].Y, &points[i].Y)
-			}
-			if neg2 && !pts2[n+i].Inf {
-				ops.Neg(&y, &pts2[n+i].Y)
-				pts2[n+i].Y = y
+			fr.CanonicalLimbs(&scalars[i], k[:nl])
+			k1, k2, neg1, neg2 := g.decompose(&k)
+			putDigits(digits, 2*i, 2*n, k1[:nl], numWindows, c, neg1)
+			putDigits(digits, 2*i+1, 2*n, k2[:nl], numWindows, c, neg2)
+			if !points[i].Inf {
+				phiXOf(&phiX[i], &points[i].X)
 			}
 		}
 	})
-	return pts2, limbs2
+	return msm(ctx, ops, points, phiX, digits, numWindows, c, threads)
 }

@@ -20,7 +20,8 @@ import (
 // chunks within windows.
 
 // msmWindowSize picks the Pippenger window width c for n points. The
-// classic cost model minimizes n·⌈b/c⌉ + ⌈b/c⌉·2^{c−1} additions.
+// classic cost model minimizes n·⌈b/c⌉ + ⌈b/c⌉·2^{c−1} additions. c never
+// exceeds 15, so every signed digit (|d| ≤ 2^{c−1}) fits an int16.
 func msmWindowSize(n int) int {
 	switch {
 	case n < 8:
@@ -58,29 +59,41 @@ func windowDigit(limbs []uint64, w, c int) int {
 	return int(digit & ((1 << uint(c)) - 1))
 }
 
-// signedDigits decomposes every scalar into ⌈(scalarBits+1)/c⌉ signed
-// c-bit digits in [−2^{c−1}, 2^{c−1}]: whenever an unsigned digit exceeds
-// 2^{c−1} it becomes d − 2^c with a carry into the next window. Since
-// −d·P is just d·(−P) and affine negation is free, the digit range — and
-// with it the bucket count and the running-sum pass — is halved. The
-// extra window absorbs the final carry: scalars are < 2^scalarBits, so
-// the top digit is at most 2^{c−1} and never carries out.
-func signedDigits(scalars [][]uint64, scalarBits, c int) ([]int32, int) {
+// putDigits writes the ⌈(scalarBits+1)/c⌉ = numWindows signed c-bit
+// digits of one limb scalar into column col of the window-major digit
+// matrix (row stride cols), each in [−2^{c−1}, 2^{c−1}]: whenever an
+// unsigned digit exceeds 2^{c−1} it becomes d − 2^c with a carry into the
+// next window. Since −d·P is just d·(−P) and affine negation is free, the
+// digit range — and with it the bucket count and the running-sum pass — is
+// halved. The extra window absorbs the final carry: scalars are
+// < 2^scalarBits, so the top digit is at most 2^{c−1} and never carries
+// out. neg writes the digits of −k instead (each digit negated), which is
+// how the GLV path folds a subscalar's sign into the matrix.
+func putDigits(digits []int16, col, cols int, limbs []uint64, numWindows, c int, neg bool) {
+	half := 1 << uint(c-1)
+	carry := 0
+	for w := 0; w < numWindows; w++ {
+		d := windowDigit(limbs, w, c) + carry
+		carry = 0
+		if d > half {
+			d -= 1 << uint(c)
+			carry = 1
+		}
+		if neg {
+			d = -d
+		}
+		digits[w*cols+col] = int16(d)
+	}
+}
+
+// signedDigits builds the window-major digit matrix of limb scalars
+// (see putDigits) and returns it with its window count.
+func signedDigits(scalars [][]uint64, scalarBits, c int) ([]int16, int) {
 	numWindows := (scalarBits + c) / c // ⌈(scalarBits+1)/c⌉
 	n := len(scalars)
-	digits := make([]int32, numWindows*n)
-	half := 1 << uint(c-1)
+	digits := make([]int16, numWindows*n)
 	for i, limbs := range scalars {
-		carry := 0
-		for w := 0; w < numWindows; w++ {
-			d := windowDigit(limbs, w, c) + carry
-			carry = 0
-			if d > half {
-				d -= 1 << uint(c)
-				carry = 1
-			}
-			digits[w*n+i] = int32(d)
-		}
+		putDigits(digits, i, n, limbs, numWindows, c, false)
 	}
 	return digits, numWindows
 }
@@ -140,10 +153,11 @@ type msmScratch[E any] struct {
 	// millions of bucket additions per MSM that allocation traffic
 	// dominates. Keeping the temporaries in the worker's scratch removes
 	// it entirely from the hot path.
-	jt    jacTemps[E] // Jacobian formula temporaries (overflow/running-sum adds)
-	q     Affine[E]   // sign-adjusted point being enqueued
-	denom E           // λ denominator staging for push
-	et    [6]E        // applyBatch temporaries: acc, inv, dinv, λ, t, x3
+	jt      jacTemps[E] // Jacobian formula temporaries (overflow/running-sum adds)
+	running Jac[E]      // running-sum accumulator
+	q       Affine[E]   // sign-adjusted point being enqueued
+	denom   E           // λ denominator staging for push
+	et      [6]E        // applyBatch temporaries: acc, inv, dinv, λ, t, x3
 }
 
 // reset prepares the scratch for a new window/chunk task. Affine buckets
@@ -160,15 +174,17 @@ func (sc *msmScratch[E]) reset(ops Ops[E]) {
 	sc.conflicted = sc.conflicted[:0]
 }
 
-// enqueue routes ±P into bucket b through the batch-affine scheduler.
-// When the bucket already has an op in the current batch, the point goes
-// to the bucket's Jacobian overflow accumulator instead of stalling —
-// conflicts cost one mixed Jacobian addition but never shrink the batch,
-// so the amortized inversion stays amortized.
-func (sc *msmScratch[E]) enqueue(ops Ops[E], b int, px, py *E, neg bool) {
+// enqueue routes sign(d)·P into bucket |d|−1 through the batch-affine
+// scheduler. When the bucket already has an op in the current batch, the
+// point goes to the bucket's Jacobian overflow accumulator instead of
+// stalling — conflicts cost one mixed Jacobian addition but never shrink
+// the batch, so the amortized inversion stays amortized.
+func (sc *msmScratch[E]) enqueue(ops Ops[E], d int16, px, py *E) {
 	q := &sc.q
 	ops.Set(&q.X, px)
-	if neg {
+	b := int(d) - 1
+	if d < 0 {
+		b = int(-d) - 1
 		ops.Neg(&q.Y, py)
 	} else {
 		ops.Set(&q.Y, py)
@@ -263,27 +279,30 @@ func (sc *msmScratch[E]) applyBatch(ops Ops[E]) {
 	sc.denoms = sc.denoms[:0]
 }
 
-// msm is the generic Pippenger core. scalars are given as canonical
-// little-endian limb arrays of uniform length; threads bounds the number
-// of concurrent workers (≤ 1 runs serially). Work splits into
-// numWindows × pointChunks independent tasks — the running-sum bucket
-// reduction is linear, so per-chunk partial sums combine by plain
-// addition — and the partials are combined in a fixed order, making the
-// result identical for every thread count. Cancellation is checked at
-// task boundaries; on a cancelled ctx the (partial) result must be
-// discarded by the caller.
-func msm[E any](ctx context.Context, ops Ops[E], points []Affine[E], scalars [][]uint64, scalarBits, threads int) Jac[E] {
+// msm is the generic Pippenger core over m = len(points) + len(phiX)
+// entries. Without phiX, entry i is points[i]. With phiX (the GLV path,
+// len(phiX) == n), entry 2i is points[i] and entry 2i+1 its endomorphism
+// image (phiX[i], points[i].Y), so a window streams each point once.
+// digits is the numWindows × m window-major matrix of signed c-bit digits
+// (signedDigits, glvMSM); a negative digit adds the negated point. threads
+// bounds the number of concurrent workers (≤ 1 runs serially). Work
+// splits into numWindows × pointChunks independent tasks —
+// the running-sum bucket reduction is linear, so per-chunk partial sums
+// combine by plain addition — and the partials are combined in a fixed
+// order, making the result identical for every thread count. Cancellation
+// is checked at task boundaries; on a cancelled ctx the (partial) result
+// must be discarded by the caller.
+func msm[E any](ctx context.Context, ops Ops[E], points []Affine[E], phiX []E, digits []int16, numWindows, c, threads int) Jac[E] {
 	n := len(points)
+	m := n + len(phiX)
 	var result Jac[E]
 	jacSetInfinity(ops, &result)
 	if n == 0 {
 		return result
 	}
-	if n != len(scalars) {
+	if len(digits) != numWindows*m {
 		panic("curve: MSM points/scalars length mismatch")
 	}
-	c := msmWindowSize(n)
-	digits, numWindows := signedDigits(scalars, scalarBits, c)
 	numBuckets := 1 << uint(c-1)
 
 	// Point-chunk parallelism: when threads exceed the window count,
@@ -291,14 +310,14 @@ func msm[E any](ctx context.Context, ops Ops[E], points []Affine[E], scalars [][
 	chunks := 1
 	if threads > numWindows {
 		chunks = (threads + numWindows - 1) / numWindows
-		if maxChunks := (n + minChunkPoints - 1) / minChunkPoints; chunks > maxChunks {
+		if maxChunks := (m + minChunkPoints - 1) / minChunkPoints; chunks > maxChunks {
 			chunks = maxChunks
 		}
 		if chunks < 1 {
 			chunks = 1
 		}
 	}
-	chunkSz := (n + chunks - 1) / chunks
+	chunkSz := (n + chunks - 1) / chunks // in points: a point's entries stay together
 	tasks := numWindows * chunks
 	partials := make([]Jac[E], tasks)
 
@@ -320,40 +339,45 @@ func msm[E any](ctx context.Context, ops Ops[E], points []Affine[E], scalars [][
 		w := t / chunks
 		ci := t % chunks
 		lo := ci * chunkSz
-		hi := lo + chunkSz
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunkSz, n)
 		sc.reset(ops)
-		row := digits[w*n : (w+1)*n]
-		for i := lo; i < hi; i++ {
-			d := row[i]
-			if d == 0 || points[i].Inf {
-				continue
+		row := digits[w*m : (w+1)*m]
+		if phiX == nil {
+			for i := lo; i < hi; i++ {
+				if d := row[i]; d != 0 && !points[i].Inf {
+					sc.enqueue(ops, d, &points[i].X, &points[i].Y)
+				}
 			}
-			if d > 0 {
-				sc.enqueue(ops, int(d)-1, &points[i].X, &points[i].Y, false)
-			} else {
-				sc.enqueue(ops, int(-d)-1, &points[i].X, &points[i].Y, true)
+		} else {
+			for i := lo; i < hi; i++ {
+				p := &points[i]
+				if p.Inf {
+					continue
+				}
+				if d := row[2*i]; d != 0 {
+					sc.enqueue(ops, d, &p.X, &p.Y)
+				}
+				if d := row[2*i+1]; d != 0 {
+					sc.enqueue(ops, d, &phiX[i], &p.Y)
+				}
 			}
 		}
 		sc.applyBatch(ops)
 		// Running-sum trick: Σ (b+1)·bucket[b] via two passes of
 		// additions, linear in the (halved) bucket count, folding in the
 		// Jacobian overflow accumulators where conflicts spilled.
-		var running, sum Jac[E]
-		jacSetInfinity(ops, &running)
-		jacSetInfinity(ops, &sum)
+		running, sum := &sc.running, &partials[t]
+		jacSetInfinity(ops, running)
+		jacSetInfinity(ops, sum)
 		for b := numBuckets - 1; b >= 0; b-- {
 			if !sc.buckets[b].Inf {
-				jacAddAffineT(ops, &running, &running, &sc.buckets[b], &sc.jt)
+				jacAddAffineT(ops, running, running, &sc.buckets[b], &sc.jt)
 			}
 			if sc.jacUsed[b] {
-				jacAddT(ops, &running, &running, &sc.bucketsJac[b], &sc.jt)
+				jacAddT(ops, running, running, &sc.bucketsJac[b], &sc.jt)
 			}
-			jacAddT(ops, &sum, &sum, &running, &sc.jt)
+			jacAddT(ops, sum, sum, running, &sc.jt)
 		}
-		partials[t] = sum
 	}
 
 	if threads <= 1 || tasks == 1 {
@@ -383,14 +407,15 @@ func msm[E any](ctx context.Context, ops Ops[E], points []Affine[E], scalars [][
 
 	// Combine: each window's chunk partials sum in a fixed order, then
 	// Horner over windows: result = Σ_w 2^{cw}·windowSum[w].
+	var tp jacTemps[E]
 	for w := numWindows - 1; w >= 0; w-- {
 		if w != numWindows-1 {
 			for b := 0; b < c; b++ {
-				jacDouble(ops, &result, &result)
+				jacDoubleT(ops, &result, &result, &tp)
 			}
 		}
 		for ci := 0; ci < chunks; ci++ {
-			jacAdd(ops, &result, &result, &partials[w*chunks+ci])
+			jacAddT(ops, &result, &result, &partials[w*chunks+ci], &tp)
 		}
 	}
 	return result
@@ -430,18 +455,16 @@ func (c *Curve) G2MSM(points []G2Affine, scalars []ff.Element, threads int) G2Ja
 // task.
 // Inputs of at least glvMinPoints take the GLV endomorphism path: each
 // scalar splits into two half-width subscalars, and the Pippenger core runs
-// over the doubled point set with roughly half the windows (glv.go).
+// over P and φ(P) — the latter read through one per-call array of β·x —
+// with roughly half the windows (glv.go).
 func (c *Curve) G1MSMCtx(ctx context.Context, points []G1Affine, scalars []ff.Element, threads int) (G1Jac, error) {
 	probe := telemetry.ProbeFromContext(ctx)
 	t0 := probe.Begin()
 	var r G1Jac
 	if len(points) >= glvMinPoints {
-		g := c.GLV()
-		pts2, limbs2 := glvExpand[ff.Element](ctx, c.g1ops, g, c.G1Phi, points, scalars, c.Fr, threads)
-		r = msm[ff.Element](ctx, c.g1ops, pts2, limbs2, g.bits, threads)
+		r = glvMSM[ff.Element](ctx, c.g1ops, c.GLV(), c.g1PhiX, c.Fr, points, scalars, threads)
 	} else {
-		limbs := frToLimbs(c.Fr, scalars)
-		r = msm[ff.Element](ctx, c.g1ops, points, limbs, c.Fr.Bits(), threads)
+		r = plainMSM[ff.Element](ctx, c.g1ops, c.Fr, points, scalars, threads)
 	}
 	probe.Observe(telemetry.KernelMSMG1, t0, len(points))
 	return r, ctx.Err()
@@ -453,15 +476,19 @@ func (c *Curve) G2MSMCtx(ctx context.Context, points []G2Affine, scalars []ff.El
 	t0 := probe.Begin()
 	var r G2Jac
 	if len(points) >= glvMinPoints {
-		g := c.GLV()
-		pts2, limbs2 := glvExpand[tower.E2](ctx, c.g2ops, g, c.G2Phi, points, scalars, c.Fr, threads)
-		r = msm[tower.E2](ctx, c.g2ops, pts2, limbs2, g.bits, threads)
+		r = glvMSM[tower.E2](ctx, c.g2ops, c.GLV(), c.g2PhiX, c.Fr, points, scalars, threads)
 	} else {
-		limbs := frToLimbs(c.Fr, scalars)
-		r = msm[tower.E2](ctx, c.g2ops, points, limbs, c.Fr.Bits(), threads)
+		r = plainMSM[tower.E2](ctx, c.g2ops, c.Fr, points, scalars, threads)
 	}
 	probe.Observe(telemetry.KernelMSMG2, t0, len(points))
 	return r, ctx.Err()
+}
+
+// plainMSM runs the core over the full-width scalars, below the GLV gate.
+func plainMSM[E any](ctx context.Context, ops Ops[E], fr *ff.Field, points []Affine[E], scalars []ff.Element, threads int) Jac[E] {
+	c := msmWindowSize(len(points))
+	digits, numWindows := signedDigits(frToLimbs(fr, scalars), fr.Bits(), c)
+	return msm(ctx, ops, points, nil, digits, numWindows, c, threads)
 }
 
 // G1MSMNaive is the baseline double-and-add MSM (one scalar multiplication

@@ -246,8 +246,8 @@ func (f *Field) BigInt(x *Element) *big.Int {
 }
 
 // BigIntInto writes the canonical (non-Montgomery) value of x into z,
-// reusing z's storage. The GLV decomposition calls this once per scalar, so
-// the per-call big.Int allocation of BigInt would dominate its cost.
+// reusing z's storage, for loops that would otherwise allocate a big.Int
+// per element through BigInt.
 func (f *Field) BigIntInto(z *big.Int, x *Element) *big.Int {
 	var t Element = *x
 	f.fromMont(&t)

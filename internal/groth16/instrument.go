@@ -57,44 +57,58 @@ func (e *Engine) recFixedBase(name string, n int, g2 bool) {
 }
 
 // recMSM records the memory behaviour of one Pippenger MSM: streaming
-// reads of points and scalars, random bucket updates, and the window
-// reduction. At GLV sizes the endomorphism path doubles the streamed
-// point set (P and φ(P)) while the window passes run over the half-width
-// subscalars — the op-count model follows curve.G1MSMCtx exactly.
+// reads of the points and of the signed-digit matrix, random bucket
+// updates, and the window reduction. At GLV sizes the core runs over 2n
+// entries — Pᵢ and φ(Pᵢ) = (β·xᵢ, yᵢ) side by side — without copying a
+// point: the φ entry reads β·xᵢ from one per-call array of n coordinates
+// and yᵢ from the point itself, and the half-width subscalars go straight into
+// an int16 digit matrix (windows × entries). The one-time passes that
+// fill the digit matrix and the φ array are left out: each is one pass
+// against the window loop's many. The op-count model follows
+// curve.G1MSMCtx exactly.
 func (e *Engine) recMSM(name string, n int, g2 bool) {
 	rec := e.Rec
 	if rec == nil || n == 0 {
 		return
 	}
 	coordBytes := int64(e.Curve.Fp.ByteLen())
+	if g2 {
+		coordBytes *= 2
+	}
 	pointBytes := 2 * coordBytes
 	jacBytes := 3 * coordBytes
-	if g2 {
-		pointBytes *= 2
-		jacBytes *= 2
-	}
 	// Signed-digit windows: one extra window absorbs the final carry and
 	// the bucket count halves to 2^{c−1}. The GLV path runs the same core
-	// over 2n points with subscalars of GLVBits() ≈ half width.
-	points := n
+	// over 2n entries with subscalars of GLVBits() ≈ half width.
+	entries := n
 	scalarBits := e.Curve.Fr.Bits()
-	if n >= curve.GLVMinPoints {
-		points = 2 * n
+	glv := n >= curve.GLVMinPoints
+	if glv {
+		entries = 2 * n
 		scalarBits = e.Curve.GLVBits()
 	}
-	c := msmWindowForSize(points)
+	c := msmWindowForSize(entries)
 	windows := (scalarBits + c) / c
 	buckets := int64(1) << uint(c-1)
-	// Every window streams all points and scalars once…
+	const digitBytes = 2
+	// Every window streams all n points and its row of one digit per
+	// entry. The digit matrix is a flat int16 array (a typed array, not
+	// boxed objects, on the JS stack), read once in total.
 	rec.Access(boxed(trace.Access{Kind: trace.Sequential, Region: "msm.points." + name,
-		RegionBytes: int64(points) * pointBytes, ElemSize: int(pointBytes), Touches: int64(points * windows)}))
-	rec.Access(boxed(trace.Access{Kind: trace.Sequential, Region: "msm.scalars." + name,
-		RegionBytes: int64(points) * 32, ElemSize: 32, Touches: int64(points * windows)}))
-	// …and scatters into its bucket array (read-modify-write).
+		RegionBytes: int64(n) * pointBytes, ElemSize: int(pointBytes), Touches: int64(n * windows)}))
+	rec.Access(trace.Access{Kind: trace.Sequential, Region: "msm.digits." + name,
+		RegionBytes: int64(entries*windows) * digitBytes, ElemSize: digitBytes, Touches: int64(entries * windows)})
+	if glv {
+		// …and, for each φ entry, β·x from the φ array (y comes from the
+		// point just read).
+		rec.Access(boxed(trace.Access{Kind: trace.Sequential, Region: "msm.phix." + name,
+			RegionBytes: int64(n) * coordBytes, ElemSize: int(coordBytes), Touches: int64(n * windows)}))
+	}
+	// Each entry scatters into its window's bucket array (read-modify-write).
 	rec.Access(boxed(trace.Access{Kind: trace.Random, Region: "msm.buckets." + name,
-		RegionBytes: buckets * jacBytes, ElemSize: int(jacBytes), Touches: int64(points * windows)}))
+		RegionBytes: buckets * jacBytes, ElemSize: int(jacBytes), Touches: int64(entries * windows)}))
 	rec.Access(boxed(trace.Access{Kind: trace.Random, Region: "msm.buckets." + name,
-		RegionBytes: buckets * jacBytes, ElemSize: int(jacBytes), Touches: int64(points * windows), Write: true}))
+		RegionBytes: buckets * jacBytes, ElemSize: int(jacBytes), Touches: int64(entries * windows), Write: true}))
 	// Window reduction: a sequential sweep over the buckets per window.
 	rec.Access(boxed(trace.Access{Kind: trace.Sequential, Region: "msm.buckets." + name,
 		RegionBytes: buckets * jacBytes, ElemSize: int(jacBytes), Touches: buckets * int64(windows)}))
