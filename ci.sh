@@ -59,8 +59,9 @@ sh scripts/e2e_crash.sh
 # Load-harness smoke: a short closed-loop zkload run against an
 # in-process zkserve (Zipf 1.0, a few hundred requests) must finish with
 # non-zero throughput (zkload exits 1 on zero successes) and a
-# well-formed percentile report.
-out="$(go run ./cmd/zkload -inproc -inproc-workers 2 -requests 300 \
+# well-formed percentile report. The service boots through zkserve's own
+# flags and defaults, so the scheduler it checks is the one that ships.
+out="$(go run ./cmd/zkload -inproc -serve-flags '-workers 2' -requests 300 \
     -warmup 0s -measure 60s -circuits 8 -clients 4 -zipf 1.0 -seed 7)"
 echo "$out"
 echo "$out" | grep -q 'zkload: result ok=300 err=0'

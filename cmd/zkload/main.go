@@ -12,7 +12,11 @@
 // or spins up an in-process zkserve on a loopback port so CI and
 // single-command experiments need no separate server:
 //
-//	zkload -inproc -inproc-workers 4 -requests 300 -zipf 1.0
+//	zkload -inproc -serve-flags '-workers 4' -requests 300 -zipf 1.0
+//
+// The in-process service boots through provesvc.Flags, the same flags
+// and defaults as zkserve: -serve-flags takes any zkserve service flag,
+// and zkload's -seed seeds the service unless -serve-flags sets -seed.
 //
 // Closed loop (default): -clients goroutines each keep exactly one
 // request outstanding — throughput is what the service sustains.
@@ -455,10 +459,7 @@ func main() {
 	pollIv := flag.Duration("poll", 50*time.Millisecond, "job status poll interval in -async mode")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	inproc := flag.Bool("inproc", false, "spin up an in-process zkserve on a loopback port")
-	inprocWorkers := flag.Int("inproc-workers", 4, "in-process service worker pool size")
-	inprocQueue := flag.Int("inproc-queue", 256, "in-process service queue depth")
-	inprocSched := flag.Bool("inproc-sched", true, "enable workload-aware scheduling on the in-process service")
-	inprocBudget := flag.Int("inproc-sched-budget", 0, "in-process scheduler thread budget (0: GOMAXPROCS)")
+	serveFlags := flag.String("serve-flags", "", "zkserve service flags for the -inproc service, e.g. '-workers 2 -sched=false'")
 	flag.Parse()
 
 	if *ncirc < 1 || *clients < 1 {
@@ -467,18 +468,15 @@ func main() {
 
 	base := *addr
 	var svc *provesvc.Service
+	if *serveFlags != "" && !*inproc {
+		log.Fatal("zkload: -serve-flags needs -inproc")
+	}
 	if *inproc {
-		svc = provesvc.New(
-			provesvc.WithWorkers(*inprocWorkers),
-			provesvc.WithQueueDepth(*inprocQueue),
-			provesvc.WithSeed(uint64(*seed)),
-			provesvc.WithWorkloadSched(provesvc.WorkloadConfig{
-				Enabled:      *inprocSched,
-				ThreadBudget: *inprocBudget,
-				HalfLife:     5 * time.Second,
-				Reclassify:   100 * time.Millisecond,
-			}),
-		)
+		fs := flag.NewFlagSet("zkload -serve-flags", flag.ExitOnError)
+		options := provesvc.Flags(fs)
+		fs.Set("seed", strconv.FormatUint(uint64(*seed), 10))
+		fs.Parse(strings.Fields(*serveFlags))
+		svc = provesvc.New(options()...)
 		svc.Start()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -493,8 +491,9 @@ func main() {
 			defer cancel()
 			svc.Shutdown(ctx)
 		}()
+		st := svc.Stats()
 		fmt.Printf("zkload: inproc zkserve at %s (workers=%d queue=%d sched=%v)\n",
-			base, *inprocWorkers, *inprocQueue, *inprocSched)
+			base, st.Service.Workers, st.Queue.Capacity, st.Sched.Enabled)
 	}
 	if base == "" {
 		log.Fatal("zkload: set -addr or -inproc")

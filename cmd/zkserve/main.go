@@ -30,19 +30,11 @@
 //	                       registry (404 with -telemetry=false)
 //	GET  /v1/healthz       200 while accepting work, 503 while draining
 //
-// -verify-coalesce-window/-verify-coalesce-max fold concurrent single
-// /v1/verify calls for the same circuit into batched pairing checks: a
-// request waits up to the window for company and a pending group flushes
-// once it holds max requests. Off by default — lone requests would pay
-// the window as pure latency.
-//
-// -sched (on by default) enables workload-aware scheduling: circuits
-// whose decayed arrival rate crosses -sched-hot-rate get -sched-reserve
-// dedicated workers each (at most -sched-max-hot circuits), everything
-// else shares the residual pool, and the -sched-budget kernel thread
-// budget is split jobs × threads from live queue depth. The live
-// classification is the "sched" block of /v1/stats; cmd/zkload measures
-// the effect.
+// Every flag that shapes the service itself (pool, queue, deadlines,
+// breaker, jobs, coalescing, scheduling, telemetry) is registered by
+// provesvc.Flags, which reads its defaults from the same table as
+// provesvc.New; see that function and zkserve -help. Only the listener
+// and process flags below live here.
 //
 // The retired pre-/v1 paths answer 410 with envelope code "gone".
 // Every response carries an X-Request-Id header (the client's, when
@@ -66,7 +58,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -79,35 +70,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent proving workers")
-	queue := flag.Int("queue", 256, "job queue depth (beyond this, requests get 429)")
-	threads := flag.Int("threads", 1, "engine threads inside one prove/setup")
-	timeout := flag.Duration("timeout", 60*time.Second, "default per-job deadline (0 disables)")
-	maxTimeout := flag.Duration("max-timeout", 0, "ceiling on per-request timeout_ms overrides (0: no ceiling)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight jobs")
-	seed := flag.Uint64("seed", uint64(time.Now().UnixNano()), "RNG seed (pin for reproducible runs)")
-	backendsFlag := flag.String("backends", "", "comma-separated proving backends to serve (default: all)")
-	artifactDir := flag.String("artifact-dir", "", "directory for crash-safe setup-artifact persistence (empty disables)")
-	maxBody := flag.Int64("max-body", provesvc.DefaultMaxBodyBytes, "request body size limit in bytes for /v1 prove and verify")
-	breakerN := flag.Int("breaker-threshold", provesvc.DefaultBreakerThreshold, "consecutive per-circuit failures that open its breaker (0 disables)")
-	breakerCool := flag.Duration("breaker-cooldown", provesvc.DefaultBreakerCooldown, "breaker open-state cooldown before a probe is admitted")
-	jobTTL := flag.Duration("job-ttl", 5*time.Minute, "retention of finished async jobs (/v1/jobs) before eviction")
-	jobMax := flag.Int("job-max", 1024, "cap on queued+running async jobs (beyond this, submits get 429)")
-	jobJournalDir := flag.String("job-journal-dir", "", "directory for the crash-safe async job journal: accepted jobs survive and replay across restarts (empty disables)")
-	verifyWindow := flag.Duration("verify-coalesce-window", 0, "max wait to coalesce concurrent single verifies of one circuit into a batched pairing check (0 disables)")
-	verifyMax := flag.Int("verify-coalesce-max", 32, "flush a coalesced verify group once it holds this many requests")
-	schedOn := flag.Bool("sched", true, "workload-aware scheduling: dedicated workers for hot circuits plus a dynamic intra/inter-job thread split")
-	schedBudget := flag.Int("sched-budget", 0, "kernel thread budget the scheduler splits across in-flight jobs (0: GOMAXPROCS)")
-	schedHotRate := flag.Float64("sched-hot-rate", 0.5, "decayed arrival rate (req/s) at which a circuit is classified hot")
-	schedMaxHot := flag.Int("sched-max-hot", 0, "cap on simultaneously hot circuits (0: as many as the pool can reserve for)")
-	schedReserve := flag.Int("sched-reserve", 1, "dedicated workers per hot circuit")
-	telemetryOn := flag.Bool("telemetry", true, "always-on telemetry (stage/kernel metrics at /v1/metrics)")
 	debugAddr := flag.String("debug-addr", "", "listen address for the pprof debug server (empty disables)")
 	accessLog := flag.Bool("access-log", true, "log one line per HTTP request")
 	// -fault is deliberately undocumented in the usage line: it arms the
 	// fault-injection harness (internal/faultinject) for chaos drills and
 	// integration tests, never for production traffic.
 	faultSpec := flag.String("fault", "", "")
+	options := provesvc.Flags(flag.CommandLine)
 	flag.Parse()
 
 	if *faultSpec != "" {
@@ -119,47 +89,7 @@ func main() {
 		log.Printf("zkserve: FAULT INJECTION ARMED (%s) — not for production", *faultSpec)
 	}
 
-	opts := []provesvc.Option{
-		provesvc.WithWorkers(*workers),
-		provesvc.WithQueueDepth(*queue),
-		provesvc.WithProveThreads(*threads),
-		provesvc.WithDefaultTimeout(*timeout),
-		provesvc.WithMaxTimeout(*maxTimeout),
-		provesvc.WithMaxBodyBytes(*maxBody),
-		provesvc.WithBreaker(*breakerN, *breakerCool),
-		provesvc.WithJobTTL(*jobTTL, 0),
-		provesvc.WithJobMaxActive(*jobMax),
-		provesvc.WithSeed(*seed),
-		provesvc.WithWorkloadSched(provesvc.WorkloadConfig{
-			Enabled:       *schedOn,
-			ThreadBudget:  *schedBudget,
-			HotMinRate:    *schedHotRate,
-			MaxHot:        *schedMaxHot,
-			ReservePerHot: *schedReserve,
-		}),
-	}
-	if *artifactDir != "" {
-		opts = append(opts, provesvc.WithArtifactDir(*artifactDir))
-	}
-	if *jobJournalDir != "" {
-		opts = append(opts, provesvc.WithJobJournal(*jobJournalDir))
-	}
-	if *verifyWindow > 0 {
-		opts = append(opts, provesvc.WithVerifyCoalesce(*verifyWindow, *verifyMax))
-	}
-	if !*telemetryOn {
-		opts = append(opts, provesvc.WithTelemetry(nil))
-	}
-	if *backendsFlag != "" {
-		var names []string
-		for _, name := range strings.Split(*backendsFlag, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				names = append(names, name)
-			}
-		}
-		opts = append(opts, provesvc.WithBackends(names...))
-	}
-	svc := provesvc.New(opts...)
+	svc := provesvc.New(options()...)
 	if err := svc.ArtifactDirError(); err != nil {
 		// Persistence failing to initialize is fatal at boot: silently
 		// re-running every trusted setup after a restart is exactly the
@@ -190,15 +120,13 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("zkserve listening on %s (%d workers, queue %d, %d threads/job, backends %v)",
-		*addr, *workers, *queue, *threads, svc.Backends())
+	st := svc.Stats()
+	log.Printf("zkserve listening on %s (%d workers, queue %d, backends %v)",
+		*addr, st.Service.Workers, st.Queue.Capacity, svc.Backends())
 	log.Printf("zkserve: serving /v1/prove /v1/prove/batch /v1/verify /v1/verify/batch /v1/jobs /v1/stats /v1/metrics /v1/healthz (legacy paths answer 410 gone)")
-	if *verifyWindow > 0 {
-		log.Printf("zkserve: verify coalescing on (window %v, max %d)", *verifyWindow, *verifyMax)
-	}
-	if *schedOn {
-		log.Printf("zkserve: workload-aware scheduling on (hot-rate %.2f/s, reserve %d/hot, budget %d threads)",
-			*schedHotRate, *schedReserve, *schedBudget)
+	if st.Sched.Enabled {
+		log.Printf("zkserve: workload-aware scheduling on (hot-rate %.2f/s, budget %d threads)",
+			st.Sched.HotMinRate, st.Sched.ThreadBudget)
 	}
 
 	// The debug listener is separate from the serving port so pprof is

@@ -125,8 +125,8 @@ func (b *Builder) Sub(x, y Wire) Wire {
 // Neg returns −x (free).
 func (b *Builder) Neg(x Wire) Wire { return b.Sub(Wire{}, x) }
 
-// MulConst returns c·x (free).
-func (b *Builder) MulConst(x Wire, c *ff.Element) Wire {
+// mulConst returns c·x (free).
+func (b *Builder) mulConst(x Wire, c *ff.Element) Wire {
 	lc := make(r1cs.LinComb, len(x.lc))
 	for i := range x.lc {
 		lc[i].Var = x.lc[i].Var
@@ -152,10 +152,10 @@ func (b *Builder) constValue(x Wire) (ff.Element, bool) {
 // constraint, one solver instruction.
 func (b *Builder) Mul(x, y Wire) Wire {
 	if c, ok := b.constValue(x); ok {
-		return b.MulConst(y, &c)
+		return b.mulConst(y, &c)
 	}
 	if c, ok := b.constValue(y); ok {
-		return b.MulConst(x, &c)
+		return b.mulConst(x, &c)
 	}
 	out := b.sys.AddInternal()
 	outW := b.varWire(out)
@@ -230,7 +230,7 @@ func (b *Builder) ToBits(x Wire, n int) []Wire {
 			Op: witness.OpBit, L: x.lc, Out: out, Aux: i,
 		})
 		b.AssertBoolean(bits[i])
-		sum = b.Add(sum, b.MulConst(bits[i], &pow))
+		sum = b.Add(sum, b.mulConst(bits[i], &pow))
 		b.fr.Double(&pow, &pow)
 		b.gateCount++
 	}

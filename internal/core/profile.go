@@ -104,7 +104,7 @@ func limbs(curveName string, s Stage) int {
 // profile. Stages depend on their predecessors' artifacts; the runner
 // executes the prefix untraced and only instruments the requested stage.
 func (r *Runner) ProfileStage(curveName string, logN int, s Stage) (*StageProfile, error) {
-	ps, err := r.ProfilePipeline(curveName, logN, map[Stage]bool{s: true})
+	ps, err := r.profilePipeline(curveName, logN, map[Stage]bool{s: true})
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +117,12 @@ func (r *Runner) ProfileAllStages(curveName string, logN int) (map[Stage]*StageP
 	for _, s := range Stages {
 		sel[s] = true
 	}
-	return r.ProfilePipeline(curveName, logN, sel)
+	return r.profilePipeline(curveName, logN, sel)
 }
 
-// ProfilePipeline runs the full compile→verify pipeline once, attaching a
+// profilePipeline runs the full compile→verify pipeline once, attaching a
 // recorder to each selected stage.
-func (r *Runner) ProfilePipeline(curveName string, logN int, selected map[Stage]bool) (map[Stage]*StageProfile, error) {
+func (r *Runner) profilePipeline(curveName string, logN int, selected map[Stage]bool) (map[Stage]*StageProfile, error) {
 	eng := r.engine(curveName)
 	fr := eng.Curve.Fr
 	e := 1 << uint(logN)

@@ -262,13 +262,6 @@ func (c *Curve) G2Double(z, p *G2Jac) { jacDouble[tower.E2](c.g2ops, z, p) }
 // G2Neg sets z = −p.
 func (c *Curve) G2Neg(z, p *G2Jac) { jacNeg[tower.E2](c.g2ops, z, p) }
 
-// G2NegAffine sets z = −p in affine coordinates.
-func (c *Curve) G2NegAffine(z, p *G2Affine) {
-	z.Inf = p.Inf
-	c.Tw.E2Set(&z.X, &p.X)
-	c.Tw.E2Neg(&z.Y, &p.Y)
-}
-
 // G2Equal reports whether p == q as curve points.
 func (c *Curve) G2Equal(p, q *G2Jac) bool { return jacEqual[tower.E2](c.g2ops, p, q) }
 

@@ -147,13 +147,6 @@ func (f *Field) mulNoCount(z, x, y *Element) {
 	f.reduceOnce(z, t[n])
 }
 
-// MulUint64 sets z = x * v mod p for a small scalar v.
-func (f *Field) MulUint64(z, x *Element, v uint64) *Element {
-	var ve Element
-	f.SetUint64(&ve, v)
-	return f.Mul(z, x, &ve)
-}
-
 // Halve sets z = x/2 mod p.
 func (f *Field) Halve(z, x *Element) *Element {
 	*z = *x

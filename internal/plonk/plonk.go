@@ -116,7 +116,7 @@ func (e *Engine) SetupCtx(ctx context.Context, c *Circuit, rng *ff.RNG) (*Provin
 	if err != nil {
 		return nil, nil, err
 	}
-	vk, err := e.BuildVK(ctx, pk)
+	vk, err := e.buildVK(ctx, pk)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -233,9 +233,9 @@ func (e *Engine) Preprocess(c *Circuit, srs *kzg.SRS) (*ProvingKey, error) {
 	return pk, nil
 }
 
-// BuildVK commits to the preprocessed polynomials, producing the
+// buildVK commits to the preprocessed polynomials, producing the
 // verifying key that pairs with pk.
-func (e *Engine) BuildVK(ctx context.Context, pk *ProvingKey) (*VerifyingKey, error) {
+func (e *Engine) buildVK(ctx context.Context, pk *ProvingKey) (*VerifyingKey, error) {
 	vk := &VerifyingKey{
 		N: pk.Domain.N, NumPub: pk.C.nPub, Omega: pk.Domain.Root,
 		K1: pk.K1, K2: pk.K2, SRS: pk.SRS,

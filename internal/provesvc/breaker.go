@@ -26,13 +26,6 @@ const (
 	breakerHalfOpen
 )
 
-// DefaultBreakerThreshold and DefaultBreakerCooldown size the breaker
-// when WithBreaker is not given.
-const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 10 * time.Second
-)
-
 // breakerState is the per-circuit state machine.
 type breakerState struct {
 	state       int

@@ -19,10 +19,6 @@ import (
 	"zkperf/internal/witness"
 )
 
-// DefaultMaxBodyBytes bounds /v1 request bodies unless WithMaxBodyBytes
-// overrides it: the edge's shared cap.
-const DefaultMaxBodyBytes = httpx.MaxBody
-
 // The HTTP front-end: stdlib-only JSON endpoints over the service,
 // versioned under /v1.
 //

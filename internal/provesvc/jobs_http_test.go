@@ -153,7 +153,7 @@ func TestHTTPJobsLifecycle(t *testing.T) {
 // 404 job_not_found.
 func TestHTTPJobsTTLEviction(t *testing.T) {
 	s := New(WithWorkers(1), WithQueueDepth(8), WithSeed(17),
-		WithJobTTL(100*time.Millisecond, 10*time.Millisecond))
+		WithJobTTL(100*time.Millisecond), func(c *config) { c.jobSweep = 10 * time.Millisecond })
 	s.Start()
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(NewHandler(s))

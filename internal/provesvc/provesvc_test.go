@@ -361,7 +361,10 @@ func TestQueueFullBackpressure(t *testing.T) {
 // one backend: a cancelled job must release its worker far sooner than a
 // full prove takes.
 func testCancellationAbortsProve(t *testing.T, backendName string) {
-	s := New(WithWorkers(1), WithQueueDepth(4), WithProveThreads(1), WithSeed(3))
+	// Scheduling off keeps the prove at one kernel thread, so a full
+	// prove stays long enough to cancel midway.
+	s := New(WithWorkers(1), WithQueueDepth(4), WithProveThreads(1), WithSeed(3),
+		WithWorkloadSched(WorkloadConfig{}))
 	s.Start()
 	defer s.Shutdown(context.Background())
 

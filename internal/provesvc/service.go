@@ -33,6 +33,7 @@ import (
 	"zkperf/internal/backend"
 	"zkperf/internal/faultinject"
 	"zkperf/internal/ff"
+	"zkperf/internal/httpx"
 	"zkperf/internal/jobs"
 	"zkperf/internal/parallel"
 	"zkperf/internal/telemetry"
@@ -62,8 +63,8 @@ var (
 // DefaultBackend is assumed when a request does not name one.
 const DefaultBackend = "groth16"
 
-// config sizes the service; it is built from Options and zero values
-// pick sensible defaults.
+// config sizes the service. Every Service starts from defaultConfig
+// and Options overwrite it field by field.
 type config struct {
 	workers        int
 	queueDepth     int
@@ -76,7 +77,6 @@ type config struct {
 	maxBodyBytes   int64
 	brkThreshold   int
 	brkCooldown    time.Duration
-	brkSet         bool // distinguishes "default" from WithBreaker(0, …)
 	jobTTL         time.Duration
 	jobSweep       time.Duration
 	jobMaxActive   int
@@ -85,32 +85,53 @@ type config struct {
 	verifyMax      int
 	sched          WorkloadConfig
 	tel            *telemetry.Telemetry
-	telSet         bool // distinguishes "default" from WithTelemetry(nil)
 }
 
-func (c config) withDefaults() config {
+// defaultConfig is the one default table: New with no options, the
+// zkserve flags (Flags reads its defaults from here) and zkload -inproc
+// all resolve to it. The seed is time-derived so that unpinned services
+// never share setup randomness.
+func defaultConfig() config {
+	return config{
+		workers:        runtime.GOMAXPROCS(0),
+		queueDepth:     256,
+		proveThreads:   1,
+		defaultTimeout: 60 * time.Second,
+		seed:           uint64(time.Now().UnixNano()),
+		maxBodyBytes:   httpx.MaxBody,
+		brkThreshold:   5,
+		brkCooldown:    10 * time.Second,
+		jobTTL:         5 * time.Minute,
+		jobMaxActive:   1024,
+		verifyMax:      32,
+		sched:          defaultSched,
+		tel:            telemetry.New(),
+	}
+}
+
+// newConfig applies opts over the default table. A size that cannot be
+// zero (workers, queue depth, threads, body limit) falls back to its
+// default when an option leaves it non-positive, so WithQueueDepth(0)
+// and zkserve -queue 0 both mean 256. No backends means all of them.
+func newConfig(opts ...Option) config {
+	def := defaultConfig()
+	c := def
+	for _, opt := range opts {
+		opt(&c)
+	}
 	if c.workers < 1 {
-		c.workers = runtime.GOMAXPROCS(0)
+		c.workers = def.workers
 	}
 	if c.queueDepth < 1 {
-		c.queueDepth = 64
+		c.queueDepth = def.queueDepth
 	}
 	if c.proveThreads < 1 {
-		c.proveThreads = 1
-	}
-	if len(c.backends) == 0 {
-		c.backends = backend.Names()
+		c.proveThreads = def.proveThreads
 	}
 	if c.maxBodyBytes <= 0 {
-		c.maxBodyBytes = DefaultMaxBodyBytes
+		c.maxBodyBytes = def.maxBodyBytes
 	}
-	if !c.brkSet {
-		c.brkThreshold = DefaultBreakerThreshold
-		c.brkCooldown = DefaultBreakerCooldown
-	}
-	if !c.telSet {
-		c.tel = telemetry.New()
-	}
+	c.sched = c.sched.withDefaults(c.workers, c.queueDepth)
 	return c
 }
 
@@ -122,7 +143,7 @@ type Option func(*config)
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithQueueDepth bounds the queued-but-not-started job count
-// (default 64). When full, submissions fail fast with ErrQueueFull.
+// (default 256). When full, submissions fail fast with ErrQueueFull.
 func WithQueueDepth(d int) Option { return func(c *config) { c.queueDepth = d } }
 
 // WithProveThreads sets the kernel parallelism *inside* one prove/setup
@@ -131,7 +152,7 @@ func WithQueueDepth(d int) Option { return func(c *config) { c.queueDepth = d } 
 func WithProveThreads(n int) Option { return func(c *config) { c.proveThreads = n } }
 
 // WithDefaultTimeout caps each job's execution unless the request
-// overrides it; 0 disables the default deadline.
+// overrides it (default 60s); 0 disables the default deadline.
 func WithDefaultTimeout(d time.Duration) Option {
 	return func(c *config) { c.defaultTimeout = d }
 }
@@ -152,26 +173,25 @@ func WithArtifactDir(dir string) Option {
 }
 
 // WithMaxBodyBytes bounds /v1 prove and verify request bodies (default
-// DefaultMaxBodyBytes); larger bodies fail with 413 body_too_large.
+// 4 MiB, the HTTP edge's shared cap); larger bodies fail with 413
+// body_too_large.
 func WithMaxBodyBytes(n int64) Option {
 	return func(c *config) { c.maxBodyBytes = n }
 }
 
 // WithBreaker sizes the per-circuit breaker: threshold consecutive
 // failures open it, and after cooldown a single probe is admitted.
-// threshold 0 disables the breaker. The default is
-// DefaultBreakerThreshold/DefaultBreakerCooldown.
+// threshold 0 disables the breaker. The default is 5 failures and a
+// 10s cooldown.
 func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *config) {
-		c.brkThreshold, c.brkCooldown, c.brkSet = threshold, cooldown, true
-	}
+	return func(c *config) { c.brkThreshold, c.brkCooldown = threshold, cooldown }
 }
 
 // WithJobTTL sets how long finished async jobs (POST /v1/jobs) are
-// retained for polling before the sweeper evicts them (default 5m), and
-// optionally the sweep cadence (0 picks TTL/4 clamped to [50ms, 10s]).
-func WithJobTTL(ttl, sweepEvery time.Duration) Option {
-	return func(c *config) { c.jobTTL, c.jobSweep = ttl, sweepEvery }
+// retained for polling before the sweeper evicts them (default 5m). The
+// sweeper runs every TTL/4, clamped to [50ms, 10s].
+func WithJobTTL(ttl time.Duration) Option {
+	return func(c *config) { c.jobTTL = ttl }
 }
 
 // WithJobMaxActive caps queued+running async jobs (default 1024);
@@ -201,20 +221,21 @@ func WithVerifyCoalesce(window time.Duration, max int) Option {
 	return func(c *config) { c.verifyWindow, c.verifyMax = window, max }
 }
 
-// WithWorkloadSched configures workload-aware scheduling (disabled by
+// WithWorkloadSched configures workload-aware scheduling (on by
 // default): hot circuits — classified from decayed per-circuit arrival
 // rates — get dedicated workers fed from private queues, and each job
 // is granted a slice of the kernel thread budget sized from live queue
 // depth (deep queue → many jobs × few threads; idle → few jobs × full
-// threads). Zero-valued WorkloadConfig fields pick their defaults; see
-// WorkloadConfig. Arrival/drain-rate accounting (the sched stats block
+// threads). wc replaces the whole default; its zero-valued fields pick
+// their defaults (see WorkloadConfig), so WorkloadConfig{} turns the
+// scheduler off. Arrival/drain-rate accounting (the sched stats block
 // and drain-rate Retry-After hints) is always on regardless.
 func WithWorkloadSched(wc WorkloadConfig) Option {
 	return func(c *config) { c.sched = wc }
 }
 
-// WithSeed seeds the setup and blinding RNGs. Pin it for reproducible
-// experiments; vary it in production.
+// WithSeed seeds the setup and blinding RNGs (default: time-derived).
+// Pin it for reproducible experiments; vary it in production.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithBackends restricts the service to the named proving backends
@@ -227,7 +248,7 @@ func WithBackends(names ...string) Option {
 // a fresh enabled handle; pass nil to disable observability entirely, or
 // a shared handle to aggregate several services into one registry.
 func WithTelemetry(t *telemetry.Telemetry) Option {
-	return func(c *config) { c.tel = t; c.telSet = true }
+	return func(c *config) { c.tel = t }
 }
 
 // ProveRequest asks the service for one proof.
@@ -346,11 +367,7 @@ type Service struct {
 
 // New creates a service; call Start before submitting work.
 func New(opts ...Option) *Service {
-	var cfg config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	cfg = cfg.withDefaults()
+	cfg := newConfig(opts...)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:        cfg,
@@ -464,7 +481,7 @@ func New(opts ...Option) *Service {
 		reg.GaugeFunc("zkp_sched_demotions_total", "Lifetime hot-to-cold demotions.",
 			func() float64 { return float64(s.sched.demotions.Load()) })
 		reg.GaugeFunc("zkp_sched_drain_rate", "Decayed queue drain rate, jobs/s.",
-			func() float64 { return s.sched.drain.rate(s.sched.now(), s.sched.cfg.HalfLife) })
+			func() float64 { return s.sched.drain.rate(s.sched.now(), s.sched.cfg.halfLife) })
 		reg.GaugeFunc("zkp_sched_hot_queue_depth", "Jobs queued across hot-circuit queues.",
 			func() float64 { return float64(s.sched.queuedTotal() - len(s.jobs)) })
 		for _, q := range []float64{0.50, 0.95} {

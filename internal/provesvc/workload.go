@@ -40,7 +40,7 @@ import (
 )
 
 // WorkloadConfig tunes the workload-aware scheduler (WithWorkloadSched).
-// The zero value of any field picks its default.
+// The zero value of any field picks its default from defaultSched.
 type WorkloadConfig struct {
 	// Enabled turns on hot-circuit worker reservation and per-job thread
 	// grants. Arrival/drain-rate accounting runs either way (it is cheap
@@ -58,55 +58,72 @@ type WorkloadConfig struct {
 	ReservePerHot int
 	// MaxHot caps the number of simultaneously hot circuits (default:
 	// as many as the worker pool can reserve for while keeping
-	// MinColdWorkers cold).
+	// minColdWorkers cold).
 	MaxHot int
-	// MinColdWorkers is the floor of workers that always remain
+
+	// minColdWorkers is the floor of workers that always remain
 	// unreserved (default 1) so cold circuits can never be starved
 	// outright by reservations.
-	MinColdWorkers int
-	// HalfLife is the decay half-life of the arrival- and drain-rate
+	minColdWorkers int
+	// halfLife is the decay half-life of the arrival- and drain-rate
 	// counters (default 10s): a circuit that stops arriving loses half
-	// its score every HalfLife.
-	HalfLife time.Duration
-	// Reclassify is the classifier cadence (default 500ms).
-	Reclassify time.Duration
-	// HotQueueDepth bounds each hot circuit's private queue (default:
+	// its score every halfLife.
+	halfLife time.Duration
+	// reclassify is the classifier cadence (default 500ms).
+	reclassify time.Duration
+	// hotQueueDepth bounds each hot circuit's private queue (default:
 	// the service queue depth). A full hot queue sheds with queue_full,
 	// same as the shared queue.
-	HotQueueDepth int
+	hotQueueDepth int
 }
 
-func (wc WorkloadConfig) withDefaults(workers int) WorkloadConfig {
+// defaultSched is the scheduler half of the default table (see
+// defaultConfig): on, hot at 0.5 req/s, one reserved worker per hot
+// circuit.
+var defaultSched = WorkloadConfig{
+	Enabled:        true,
+	HotMinRate:     0.5,
+	ReservePerHot:  1,
+	minColdWorkers: 1,
+	halfLife:       10 * time.Second,
+	reclassify:     500 * time.Millisecond,
+}
+
+// withDefaults fills zero fields from defaultSched and sizes what
+// depends on the worker pool and the service queue.
+func (wc WorkloadConfig) withDefaults(workers, queueDepth int) WorkloadConfig {
+	def := defaultSched
 	if wc.ThreadBudget < 1 {
 		wc.ThreadBudget = runtime.GOMAXPROCS(0)
 	}
 	if wc.HotMinRate <= 0 {
-		wc.HotMinRate = 0.5
+		wc.HotMinRate = def.HotMinRate
 	}
 	if wc.ReservePerHot < 1 {
-		wc.ReservePerHot = 1
+		wc.ReservePerHot = def.ReservePerHot
 	}
-	if wc.MinColdWorkers < 1 {
-		wc.MinColdWorkers = 1
+	if wc.minColdWorkers < 1 {
+		wc.minColdWorkers = def.minColdWorkers
 	}
-	if wc.MinColdWorkers > workers {
-		wc.MinColdWorkers = workers
-	}
-	maxHot := (workers - wc.MinColdWorkers) / wc.ReservePerHot
+	wc.minColdWorkers = min(wc.minColdWorkers, workers)
+	maxHot := (workers - wc.minColdWorkers) / wc.ReservePerHot
 	if wc.MaxHot < 1 || wc.MaxHot > maxHot {
 		wc.MaxHot = maxHot // may be 0: a tiny pool reserves nothing
 	}
-	if wc.HalfLife <= 0 {
-		wc.HalfLife = 10 * time.Second
+	if wc.halfLife <= 0 {
+		wc.halfLife = def.halfLife
 	}
-	if wc.Reclassify <= 0 {
-		wc.Reclassify = 500 * time.Millisecond
+	if wc.reclassify <= 0 {
+		wc.reclassify = def.reclassify
+	}
+	if wc.hotQueueDepth < 1 {
+		wc.hotQueueDepth = queueDepth
 	}
 	return wc
 }
 
 // rateCounter is an exponentially-decayed event counter: each event adds
-// 1 to a score that halves every HalfLife. At a steady event rate λ the
+// 1 to a score that halves every halfLife. At a steady event rate λ the
 // score converges to λ·h/ln2, so rate() = score·ln2/h recovers λ.
 type rateCounter struct {
 	mu    sync.Mutex
@@ -236,14 +253,11 @@ type scheduler struct {
 func newScheduler(svc *Service, wc WorkloadConfig) *scheduler {
 	sc := &scheduler{
 		svc:     svc,
-		cfg:     wc.withDefaults(svc.cfg.workers),
+		cfg:     wc,
 		workers: svc.cfg.workers,
 		now:     time.Now,
 		hot:     make(map[CircuitKey]*hotQueue),
 		stopCh:  make(chan struct{}),
-	}
-	if sc.cfg.HotQueueDepth < 1 {
-		sc.cfg.HotQueueDepth = svc.cfg.queueDepth
 	}
 	sc.plan.Store(&workPlan{
 		changed:     make(chan struct{}),
@@ -260,7 +274,7 @@ func (sc *scheduler) start() {
 	sc.tickerWG.Add(1)
 	go func() {
 		defer sc.tickerWG.Done()
-		t := time.NewTicker(sc.cfg.Reclassify)
+		t := time.NewTicker(sc.cfg.reclassify)
 		defer t.Stop()
 		for {
 			select {
@@ -287,13 +301,13 @@ func (sc *scheduler) moverWait() { sc.moverWG.Wait() }
 // rate counter. Called on every admission attempt, accepted or shed —
 // rejections are still demand.
 func (sc *scheduler) observeArrival(key CircuitKey) {
-	sc.arrivals.observe(key, sc.now(), sc.cfg.HalfLife)
+	sc.arrivals.observe(key, sc.now(), sc.cfg.halfLife)
 }
 
 // observeDrain books one job leaving a queue for a worker — the queue
 // drain events that Retry-After hints are derived from.
 func (sc *scheduler) observeDrain() {
-	sc.drain.observe(sc.now(), sc.cfg.HalfLife)
+	sc.drain.observe(sc.now(), sc.cfg.halfLife)
 }
 
 // offer routes an admitted job to its queue — the circuit's private hot
@@ -355,7 +369,7 @@ func (sc *scheduler) grantThreads() int {
 // swaps in a new worker plan. Demoted circuits get a mover goroutine
 // that migrates their residual queued jobs to the cold queue.
 func (sc *scheduler) reclassify() {
-	rates := sc.arrivals.rates(sc.now(), sc.cfg.HalfLife)
+	rates := sc.arrivals.rates(sc.now(), sc.cfg.halfLife)
 
 	sc.mu.Lock()
 	// Desired hot set: rate ≥ threshold, top MaxHot by rate. Ties break
@@ -410,7 +424,7 @@ func (sc *scheduler) reclassify() {
 			hq.rate = rate
 			continue
 		}
-		sc.hot[key] = &hotQueue{key: key, ch: make(chan *job, sc.cfg.HotQueueDepth), rate: rate}
+		sc.hot[key] = &hotQueue{key: key, ch: make(chan *job, sc.cfg.hotQueueDepth), rate: rate}
 		sc.promotions.Add(1)
 		changed = true
 	}
@@ -444,7 +458,7 @@ func (sc *scheduler) rebuildPlanLocked() {
 	// dipping below the cold floor. withDefaults caps MaxHot so every hot
 	// circuit gets at least one worker — a hot queue nobody reads would
 	// strand jobs.
-	maxReserved := sc.workers - sc.cfg.MinColdWorkers
+	maxReserved := sc.workers - sc.cfg.minColdWorkers
 	w := 0
 	for _, hq := range queues {
 		for r := 0; r < sc.cfg.ReservePerHot && w < maxReserved; r++ {
@@ -548,7 +562,7 @@ func (sc *scheduler) sweep(rep *DrainReport) {
 // no drain has been observed recently (callers fall back to a flat
 // constant).
 func (sc *scheduler) retryAfterHint() (time.Duration, bool) {
-	rate := sc.drain.rate(sc.now(), sc.cfg.HalfLife)
+	rate := sc.drain.rate(sc.now(), sc.cfg.halfLife)
 	if rate < 0.01 {
 		return 0, false
 	}
@@ -580,7 +594,7 @@ func (sc *scheduler) stats() SchedStats {
 		ColdQueueDepth:  len(sc.svc.jobs),
 		Promotions:      sc.promotions.Load(),
 		Demotions:       sc.demotions.Load(),
-		DrainRatePerSec: sc.drain.rate(now, sc.cfg.HalfLife),
+		DrainRatePerSec: sc.drain.rate(now, sc.cfg.halfLife),
 		ThreadGrant:     sizeSummary(&sc.grantHist),
 	}
 	reservedFor := make(map[*hotQueue]int)
@@ -589,7 +603,7 @@ func (sc *scheduler) stats() SchedStats {
 			reservedFor[hq]++
 		}
 	}
-	for _, r := range sc.arrivals.rates(now, sc.cfg.HalfLife) {
+	for _, r := range sc.arrivals.rates(now, sc.cfg.halfLife) {
 		st.ArrivalRatePerSec += r
 	}
 	for _, hq := range plan.hotQueues {

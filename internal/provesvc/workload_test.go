@@ -29,7 +29,7 @@ func TestSchedReservationFloor(t *testing.T) {
 	s := New(WithWorkers(3), WithQueueDepth(8), WithWorkloadSched(WorkloadConfig{
 		Enabled:    true,
 		HotMinRate: 0.5,
-		Reclassify: time.Hour, // classification driven manually below
+		reclassify: time.Hour, // classification driven manually below
 	}))
 	sc := s.sched
 
@@ -47,8 +47,8 @@ func TestSchedReservationFloor(t *testing.T) {
 	sc.reclassify()
 
 	plan := sc.plan.Load()
-	if cold := sc.workers - plan.reserved; cold < sc.cfg.MinColdWorkers {
-		t.Fatalf("cold pool = %d workers, floor is %d", cold, sc.cfg.MinColdWorkers)
+	if cold := sc.workers - plan.reserved; cold < sc.cfg.minColdWorkers {
+		t.Fatalf("cold pool = %d workers, floor is %d", cold, sc.cfg.minColdWorkers)
 	}
 	if plan.reserved == 0 || len(plan.hotQueues) == 0 {
 		t.Fatalf("expected hot circuits under heavy arrivals, plan reserved=%d hot=%d",
@@ -65,7 +65,7 @@ func TestSchedReservationFloor(t *testing.T) {
 			t.Fatalf("hot circuit %x has a queue but no dedicated worker", hq.key.SourceHash[:4])
 		}
 	}
-	if st := sc.stats(); st.ColdWorkers < sc.cfg.MinColdWorkers || st.HotCount != len(plan.hotQueues) {
+	if st := sc.stats(); st.ColdWorkers < sc.cfg.minColdWorkers || st.HotCount != len(plan.hotQueues) {
 		t.Fatalf("stats disagree with plan: %+v", st)
 	}
 }
@@ -77,8 +77,8 @@ func TestSchedDemotionReleasesWorkers(t *testing.T) {
 	s := New(WithWorkers(4), WithQueueDepth(8), WithWorkloadSched(WorkloadConfig{
 		Enabled:    true,
 		HotMinRate: 0.5,
-		HalfLife:   10 * time.Second,
-		Reclassify: time.Hour,
+		halfLife:   10 * time.Second,
+		reclassify: time.Hour,
 	}))
 	sc := s.sched
 
@@ -116,7 +116,7 @@ func TestSchedThreadGrantAccounting(t *testing.T) {
 	s := New(WithWorkers(4), WithQueueDepth(16), WithWorkloadSched(WorkloadConfig{
 		Enabled:      true,
 		ThreadBudget: 8,
-		Reclassify:   time.Hour,
+		reclassify:   time.Hour,
 	}))
 	sc := s.sched
 
@@ -155,7 +155,7 @@ func TestSchedThreadGrantAccounting(t *testing.T) {
 
 	// Disabled scheduler grants nothing — engines keep their static
 	// thread count.
-	s2 := New(WithWorkers(2))
+	s2 := New(WithWorkers(2), WithWorkloadSched(WorkloadConfig{}))
 	if got := s2.sched.grantThreads(); got != 0 {
 		t.Errorf("disabled scheduler grant = %d, want 0", got)
 	}
@@ -169,8 +169,8 @@ func TestSchedHotQueueRouting(t *testing.T) {
 	s := New(WithWorkers(2), WithQueueDepth(8), WithWorkloadSched(WorkloadConfig{
 		Enabled:       true,
 		HotMinRate:    0.5,
-		Reclassify:    time.Hour,
-		HotQueueDepth: 1,
+		reclassify:    time.Hour,
+		hotQueueDepth: 1,
 	}))
 	sc := s.sched
 	base := time.Now()
@@ -229,8 +229,8 @@ func TestSchedMixedHotColdLoad(t *testing.T) {
 		WithWorkloadSched(WorkloadConfig{
 			Enabled:    true,
 			HotMinRate: 0.2,
-			HalfLife:   2 * time.Second,
-			Reclassify: 20 * time.Millisecond,
+			halfLife:   2 * time.Second,
+			reclassify: 20 * time.Millisecond,
 		}))
 	s.Start()
 	defer s.Shutdown(context.Background())

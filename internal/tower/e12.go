@@ -150,16 +150,6 @@ func (t *Tower) E12Exp(z, x *E12, e *big.Int) *E12 {
 	return t.E12Set(z, &acc)
 }
 
-// E12MulByElement sets z = x·c for a base-field scalar c.
-func (t *Tower) E12MulByElement(z, x *E12, c *ff.Element) *E12 {
-	var ce E2
-	t.F.Set(&ce.A0, c)
-	t.F.Zero(&ce.A1)
-	t.E6MulByE2(&z.C0, &x.C0, &ce)
-	t.E6MulByE2(&z.C1, &x.C1, &ce)
-	return z
-}
-
 // E12Random sets z to a pseudo-random element.
 func (t *Tower) E12Random(z *E12, rng *ff.RNG) *E12 {
 	t.E6Random(&z.C0, rng)

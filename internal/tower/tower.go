@@ -203,8 +203,3 @@ func (t *Tower) E2Random(z *E2, rng *ff.RNG) *E2 {
 	t.F.Random(&z.A1, rng)
 	return z
 }
-
-// E2String renders x as "a0 + a1*i".
-func (t *Tower) E2String(x *E2) string {
-	return t.F.String(&x.A0) + " + " + t.F.String(&x.A1) + "*i"
-}

@@ -120,6 +120,3 @@ func Solve(sys *r1cs.System, prog *Program, assign Assignment) (*Witness, error)
 	copy(pub, w[:1+sys.NumPublic])
 	return &Witness{Full: w, Public: pub}, nil
 }
-
-// NumWires returns how many wires the program solves.
-func (p *Program) NumWires() int { return len(p.Instructions) }
